@@ -347,6 +347,11 @@ def _cmd_stats(args: argparse.Namespace) -> int:
         except (ClpSyntaxError, NonlinearityError, NoSolution) as exc:
             rows.append({"goal": line, "status": "failed", "error": str(exc)})
             continue
+        except RecursionError:
+            # a proof tree too deep for the recursive engine fails this
+            # goal only; the rest of the file still runs
+            rows.append({"goal": line, "status": "failed", "error": "recursion limit exceeded"})
+            continue
         tree, log = solution.tree, solution.log
         graph = tree_dep_graph(tree)
         annotation = None if args.undirected else annotate(tree, log)

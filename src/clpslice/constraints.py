@@ -12,6 +12,14 @@ the Herbrand terms it appears in.
 Groundness detection is deliberately syntactic: a variable counts as
 ground only when the solved form certifies a unique value through
 equalities (a pair of opposing inequalities does not).
+
+``satisfiable`` solves a whole store at once and is the reference.
+``SolvedState`` reaches the same verdicts and the same groundness one
+constraint at a time: a term equation unifies into a copy of its
+triangular substitution, a numeric equality is one Gauss-Jordan pivot
+step, an inequality is reduced by the pivots and kept, and
+Fourier-Motzkin runs again only when the kept inequalities changed.
+The SLD engine extends a parent's state at every step.
 """
 
 from __future__ import annotations
@@ -261,8 +269,10 @@ def _occurs(name: str, t: Term, subst: dict[str, Term]) -> bool:
     return False
 
 
-def _unify_all(pairs: Iterable[tuple[Term, Term]]) -> dict[str, Term] | None:
-    subst: dict[str, Term] = {}
+def _unify(subst: dict[str, Term], pairs: Iterable[tuple[Term, Term]]) -> list[str] | None:
+    """Extend the triangular substitution ``subst`` in place to unify
+    every pair; the names it bound, or None on a clash."""
+    bound: list[str] = []
     stack = list(pairs)
     while stack:
         left, right = stack.pop()
@@ -273,10 +283,12 @@ def _unify_all(pairs: Iterable[tuple[Term, Term]]) -> dict[str, Term] | None:
             if _occurs(left.name, right, subst):
                 return None
             subst[left.name] = right
+            bound.append(left.name)
         elif isinstance(right, Variable):
             if _occurs(right.name, left, subst):
                 return None
             subst[right.name] = left
+            bound.append(right.name)
         elif isinstance(left, Compound) and isinstance(right, Compound):
             if left.functor != right.functor or len(left.args) != len(right.args):
                 return None
@@ -284,7 +296,12 @@ def _unify_all(pairs: Iterable[tuple[Term, Term]]) -> dict[str, Term] | None:
         else:
             # number vs unequal number, or number vs compound
             return None
-    return subst
+    return bound
+
+
+def _unify_all(pairs: Iterable[tuple[Term, Term]]) -> dict[str, Term] | None:
+    subst: dict[str, Term] = {}
+    return subst if _unify(subst, pairs) is not None else None
 
 
 def _deep_resolve(t: Term, subst: dict[str, Term]) -> Term:
@@ -445,6 +462,176 @@ def ground_vars(solved: SolvedForm) -> dict[str, Term]:
         if value is not None:
             out[var] = value
     return out
+
+
+# ---------------------------------------------------------------------------
+# Incremental solving
+
+class SolvedState:
+    """A satisfiable store solved one constraint at a time.
+
+    ``extend`` returns the state of the store plus more constraints, or
+    None when that store is unsatisfiable; the receiver never changes,
+    so a search keeps a parent's state and simply drops a child's on
+    backtracking.  The fields hold:
+
+    * ``bindings``: a triangular Herbrand substitution (walk it);
+    * ``numeric``: the names that feed the linear system, i.e. the
+      representatives of every variable seen in a numeric constraint
+      and whatever those were later bound to;
+    * ``pivots``: a fully reduced pivot dictionary, every form over
+      free (non-pivot) variables only;
+    * ``residual``: the non-constant inequalities rewritten by the
+      pivots, each ``expr <= 0`` (``< 0`` when strict), keyed by the
+      normalized form so duplicates collapse.
+
+    Contract with ``satisfiable``: for any constraint sequence,
+    ``SolvedState().extend(cs)`` is None exactly when
+    ``satisfiable(ConstraintStore(cs))`` is UNSAT; otherwise
+    ``is_ground`` and ``ground_value`` agree with the SolvedForm's, and
+    ``resolve_term`` agrees up to which variable represents a class of
+    unbound variables.  Groundness stays basis-independent because a
+    variable is pinned by the equalities iff it is a pivot with a
+    constant form.
+    """
+
+    __slots__ = ("bindings", "numeric", "pivots", "residual")
+
+    def __init__(self) -> None:
+        self.bindings: dict[str, Term] = {}
+        self.numeric: set[str] = set()
+        self.pivots: dict[str, LinExpr] = {}
+        self.residual: dict[tuple, tuple[LinExpr, bool]] = {}
+
+    def extend(self, constraints: Iterable[StoreConstraint],
+               linear: dict[ConstraintExpr, tuple[LinExpr, str]] | None = None
+               ) -> "SolvedState | None":
+        """The state with ``constraints`` added, or None if unsat.
+
+        ``linear`` memoizes ``constraint_linear`` per expression; the
+        caller owns it and decides how long it lives.
+        """
+        new = SolvedState()
+        new.bindings = dict(self.bindings)
+        new.numeric = set(self.numeric)
+        new.pivots = dict(self.pivots)
+        new.residual = dict(self.residual)
+        for c in constraints:
+            ok = (new._equate(c.lhs, c.rhs) if isinstance(c, TermEquation)
+                  else new._post(c.expr, linear))
+            if not ok:
+                return None
+        if new.residual.keys() != self.residual.keys():
+            if not _fourier_motzkin(list(new.residual.values()))[0]:
+                return None
+        return new
+
+    def resolve_term(self, t: Term) -> Term:
+        """Substitute certified values: Herbrand bindings, then pinned
+        numeric pivots."""
+        t = _walk(t, self.bindings)
+        if isinstance(t, Variable):
+            pivot = self.pivots.get(t.name)
+            if pivot is not None and pivot.is_constant:
+                return NumberLiteral(pivot.const)
+            return t
+        if isinstance(t, Compound):
+            return Compound(t.functor, tuple(self.resolve_term(a) for a in t.args))
+        return t
+
+    def is_ground(self, t: Term) -> bool:
+        return not vars_of_term(self.resolve_term(t))
+
+    def ground_value(self, t: Term) -> Term | None:
+        resolved = self.resolve_term(t)
+        return resolved if not vars_of_term(resolved) else None
+
+    # -- in-place steps on a fresh copy; False means unsat -----------------
+
+    def _equate(self, lhs: Term, rhs: Term) -> bool:
+        bound = _unify(self.bindings, [(lhs, rhs)])
+        if bound is None:
+            return False
+        for name in bound:
+            if name not in self.numeric:
+                continue
+            # a variable of the linear system got bound: carry the
+            # binding over as a linear equality
+            rep = _walk(Variable(name), self.bindings)
+            if isinstance(rep, Variable):
+                self.numeric.add(rep.name)
+                row = LinExpr({name: Fraction(1), rep.name: Fraction(-1)})
+            elif isinstance(rep, NumberLiteral):
+                row = LinExpr({name: Fraction(1)}, -rep.value)
+            else:
+                return False
+            if not self._pivot(row):
+                return False
+        return True
+
+    def _post(self, expr: ConstraintExpr,
+              linear: dict[ConstraintExpr, tuple[LinExpr, str]] | None) -> bool:
+        if linear is None:
+            form, rel = constraint_linear(expr)
+        else:
+            found = linear.get(expr)
+            if found is None:
+                found = linear[expr] = constraint_linear(expr)
+            form, rel = found
+        coeffs: dict[str, Fraction] = {}
+        const = form.const
+        for var, coef in form.coeffs.items():
+            rep = _walk(Variable(var), self.bindings)
+            if isinstance(rep, Variable):
+                self.numeric.add(rep.name)
+                total = coeffs.get(rep.name, 0) + coef
+                if total:
+                    coeffs[rep.name] = total
+                else:
+                    del coeffs[rep.name]
+            elif isinstance(rep, NumberLiteral):
+                const += coef * rep.value
+            else:
+                # a numerically constrained variable equated to a
+                # non-numeric term can take no rational value
+                return False
+        row = LinExpr(coeffs, const)
+        if rel == "=":
+            return self._pivot(row)
+        return self._bound(self._reduce(row), rel == "<")
+
+    def _reduce(self, row: LinExpr) -> LinExpr:
+        for var in [v for v in row.coeffs if v in self.pivots]:
+            row = row.substitute(var, self.pivots[var])
+        return row
+
+    def _pivot(self, row: LinExpr) -> bool:
+        """One Gauss-Jordan step for ``row = 0``: rewrite only the
+        pivots and residual rows that mention the new pivot."""
+        row = self._reduce(row)
+        if row.is_constant:
+            return not row.const
+        var = min(row.coeffs)
+        coef = row.coeffs[var]
+        rest = LinExpr({v: c for v, c in row.coeffs.items() if v != var}, row.const)
+        form = rest.scale(Fraction(-1) / coef)
+        for v, f in self.pivots.items():
+            if var in f.coeffs:
+                self.pivots[v] = f.substitute(var, form)
+        self.pivots[var] = form
+        if any(var in expr.coeffs for expr, _ in self.residual.values()):
+            rows, self.residual = self.residual.values(), {}
+            for expr, strict in rows:
+                if not self._bound(expr.substitute(var, form), strict):
+                    return False
+        return True
+
+    def _bound(self, row: LinExpr, strict: bool) -> bool:
+        """Keep a reduced inequality ``row <= 0`` (``< 0`` if strict)."""
+        if row.is_constant:
+            return not (row.const > 0 or (strict and row.const == 0))
+        self.residual.setdefault((row.normalized(), strict), (row, strict))
+        return True
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,17 @@ equation per (body atom, child head) pair.  ``derive`` searches with
 leftmost selection, textual clause order, and chronological backtracking,
 pruning any branch whose store goes unsatisfiable.
 
+The store is never re-solved from scratch.  Each agenda step extends
+its parent's ``SolvedState`` (see ``constraints``) by what the step
+adds, one body constraint for a post and the edge equations for a
+call, and hands the new state down the recursion; backtracking just
+returns to the parent's state, which extension never changes.  The
+largest satisfiable partial skeleton, kept for ``NoSolution``, is
+judged exactly without building its store: every attached node's
+clause constraint is either posted already or a pending ``post`` step
+of the agenda, so the current state extended by those pending
+constraints is the skeleton's whole constraint set.
+
 While searching, the engine logs groundness observations that later
 drive directional slicing:
 
@@ -21,7 +32,9 @@ drive directional slicing:
 
 Success groundness is judged against that subtree-local store rather
 than the global one so that a value pinned only by the interplay of
-caller and callee constraints is attributed to neither side.
+caller and callee constraints is attributed to neither side.  The
+local state of a completed node is cached by node index and built by
+extending its first child's cached state.
 """
 
 from __future__ import annotations
@@ -31,10 +44,9 @@ from dataclasses import dataclass, field
 from .constraints import (
     ConstraintStore,
     NumericConstraint,
-    SolvedForm,
+    SolvedState,
     StoreConstraint,
     TermEquation,
-    satisfiable,
 )
 from .syntax import (
     Atom,
@@ -299,7 +311,10 @@ class _Derivation:
         self.depth_limit = depth_limit
         self.max_solutions = max_solutions
         self.nodes: list[_SearchNode] = []
-        self.constraints: list[StoreConstraint] = []
+        # constraint_linear per expression, for this run only
+        self.linear: dict = {}
+        # subtree-local solved state per completed node index
+        self.local: dict[int, SolvedState] = {}
         self.events: list[GroundEvent] = []
         self.solutions: list[Solution] = []
         self.deepest: Skeleton | None = None
@@ -310,10 +325,10 @@ class _Derivation:
         root = _SearchNode(0, GOAL_CLAUSE, goal, None, None, 0,
                            [None] * len(goal.call_literals()))
         self.nodes.append(root)
-        self._record_deepest()
-        solved = satisfiable(ConstraintStore())
-        agenda = self._node_agenda(0, goal)
-        self._expand(tuple(agenda), solved)
+        agenda = tuple(self._node_agenda(0, goal))
+        solved = SolvedState()
+        self._record_deepest(solved, agenda)
+        self._expand(agenda, solved)
         if not self.solutions:
             deepest = DerivationTree(self.deepest) if self.deepest is not None else None
             reason = ("depth limit exceeded with no proof tree"
@@ -338,7 +353,7 @@ class _Derivation:
     def _done(self) -> bool:
         return self.max_solutions is not None and len(self.solutions) >= self.max_solutions
 
-    def _expand(self, agenda: tuple, solved: SolvedForm) -> None:
+    def _expand(self, agenda: tuple, solved: SolvedState) -> None:
         if self._done():
             return
         if not agenda:
@@ -355,19 +370,16 @@ class _Derivation:
         else:
             self._step_complete(step, rest, solved)
 
-    def _step_post(self, step: tuple, rest: tuple, solved: SolvedForm) -> None:
+    def _step_post(self, step: tuple, rest: tuple, solved: SolvedState) -> None:
         _, index, lit, expr = step
         ground = self._constraint_ground(index, lit, expr, solved)
         self.events.append(GroundEvent("post", index, lit, ground))
-        origin = frozenset((TreePosition(index, lit, ()),))
-        self.constraints.append(NumericConstraint(expr, origin))
-        new_solved = satisfiable(ConstraintStore(self.constraints))
-        if new_solved.is_sat:
+        new_solved = solved.extend((NumericConstraint(expr),), self.linear)
+        if new_solved is not None:
             self._expand(rest, new_solved)
-        self.constraints.pop()
         self.events.pop()
 
-    def _step_call(self, step: tuple, rest: tuple, solved: SolvedForm) -> None:
+    def _step_call(self, step: tuple, rest: tuple, solved: SolvedState) -> None:
         _, parent_idx, lit, atom, slot = step
         parent = self.nodes[parent_idx]
         if parent.depth + 1 > self.depth_limit:
@@ -390,19 +402,17 @@ class _Derivation:
             parent.children[slot] = index
             call_ground = self._call_ground(parent_idx, lit, atom, index, head, solved)
             self.events.append(GroundEvent("call", index, lit, call_ground))
-            n_constraints = len(self.constraints)
-            self.constraints.extend(eqs)
-            new_solved = satisfiable(ConstraintStore(self.constraints))
-            if new_solved.is_sat:
-                self._record_deepest()
+            new_solved = solved.extend(eqs, self.linear)
+            if new_solved is not None:
                 agenda = tuple(self._node_agenda(index, label)) + rest
+                self._record_deepest(new_solved, agenda)
                 self._expand(agenda, new_solved)
-            del self.constraints[n_constraints:]
             self.events.pop()
             parent.children[slot] = None
             self.nodes.pop()
+            self.local.pop(index, None)
 
-    def _step_complete(self, step: tuple, rest: tuple, solved: SolvedForm) -> None:
+    def _step_complete(self, step: tuple, rest: tuple, solved: SolvedState) -> None:
         _, index = step
         ground = self._success_ground(index)
         self.events.append(GroundEvent("success", index, None, ground))
@@ -411,7 +421,7 @@ class _Derivation:
 
     # -- groundness observation ---------------------------------------------
 
-    def _call_pins(self, atom: Atom, solved: SolvedForm) -> tuple[TermEquation, ...]:
+    def _call_pins(self, atom: Atom, solved: SolvedState) -> tuple[TermEquation, ...]:
         pins = []
         seen = set()
         for arg in atom.args:
@@ -425,7 +435,7 @@ class _Derivation:
         return tuple(pins)
 
     def _call_ground(self, parent_idx: int, lit: int, atom: Atom, child_idx: int,
-                     head: Atom, solved: SolvedForm) -> frozenset[TreePosition]:
+                     head: Atom, solved: SolvedState) -> frozenset[TreePosition]:
         """Edge argument positions ground at call: both sides are judged
         through the caller's instantiated argument, the only information
         that exists before the edge equations do."""
@@ -443,12 +453,22 @@ class _Derivation:
         return frozenset(ground)
 
     def _constraint_ground(self, index: int, lit: int, expr: ConstraintExpr,
-                           solved: SolvedForm) -> frozenset[TreePosition]:
+                           solved: SolvedState) -> frozenset[TreePosition]:
         ground = set()
         for k, leaf in enumerate(expr.occurrences(), start=1):
             if not vars_of_term(leaf) or solved.is_ground(leaf):
                 ground.add(TreePosition(index, lit, (k,)))
         return frozenset(ground)
+
+    @staticmethod
+    def _node_store(node: _SearchNode) -> list[StoreConstraint]:
+        """One node's share of its subtree-local store: its boundary
+        equations, call-time pinned values, and clause constraints."""
+        out: list[StoreConstraint] = [*node.edge_eqs, *node.call_pins]
+        for item in node.label.body:
+            if isinstance(item, ConstraintExpr):
+                out.append(NumericConstraint(item))
+        return out
 
     def _subtree_store(self, index: int) -> list[StoreConstraint]:
         """The node's own contribution: subtree clause constraints and
@@ -457,17 +477,34 @@ class _Derivation:
         stack = [index]
         while stack:
             node = self.nodes[stack.pop()]
-            out.extend(node.edge_eqs)
-            out.extend(node.call_pins)
-            for item in node.label.body:
-                if isinstance(item, ConstraintExpr):
-                    out.append(NumericConstraint(item))
+            out.extend(self._node_store(node))
             stack.extend(c for c in node.children if c is not None)
         return out
 
+    def _local_state(self, index: int) -> SolvedState:
+        """The subtree-local store of a just-completed node, solved by
+        extending its first child's cached state with the other
+        children's subtrees and the node's own share."""
+        node = self.nodes[index]
+        children = [c for c in node.children if c is not None]
+        base = self.local.get(children[0]) if children else None
+        if base is None:
+            base, others = SolvedState(), children
+        else:
+            others = children[1:]
+        extra = [c for child in others for c in self._subtree_store(child)]
+        local = base.extend(extra + self._node_store(node), self.linear)
+        if local is None:
+            # an unsat local store certifies nothing, like an UNSAT
+            # SolvedForm: only variable-free terms count as ground
+            self.local.pop(index, None)
+            return SolvedState()
+        self.local[index] = local
+        return local
+
     def _success_ground(self, index: int) -> frozenset[TreePosition]:
         node = self.nodes[index]
-        local = satisfiable(ConstraintStore(self._subtree_store(index)))
+        local = self._local_state(index)
         ground = set()
         if node.parent is not None:
             parent = self.nodes[node.parent]
@@ -490,10 +527,13 @@ class _Derivation:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _record_deepest(self) -> None:
+    def _record_deepest(self, solved: SolvedState, agenda: tuple) -> None:
+        """Keep the current skeleton if it is the largest satisfiable
+        one so far; the state plus the agenda's pending posts is exactly
+        its constraint set (see the module docstring)."""
         if len(self.nodes) <= self.deepest_size:
             return
-        skeleton = Skeleton(tuple(n.freeze() for n in self.nodes))
-        if satisfiable(constraints_of(skeleton)).is_sat:
-            self.deepest = skeleton
+        pending = [NumericConstraint(step[3]) for step in agenda if step[0] == "post"]
+        if solved.extend(pending, self.linear) is not None:
+            self.deepest = Skeleton(tuple(n.freeze() for n in self.nodes))
             self.deepest_size = len(self.nodes)

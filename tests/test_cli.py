@@ -139,6 +139,19 @@ def test_stats_failed_goal(tmp_path, capsys):
     assert "1/2" in out
 
 
+def test_stats_recursion_limit_fails_one_goal(tmp_path, capsys):
+    goals = tmp_path / "goals.txt"
+    goals.write_text("fib(3, F).\nfib(10, F).\nfib(4, F).\n")
+    out_file = tmp_path / "stats.json"
+    code, out, _ = run(capsys, "stats", str(corpus_path("fib.clp")), str(goals),
+                       "--json", str(out_file))
+    assert code == 0
+    rows = json.loads(out_file.read_text())["rows"]
+    assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
+    assert rows[1]["error"] == "recursion limit exceeded"
+    assert "2/3" in out
+
+
 def test_stats_empty_goal_file(tmp_path, capsys):
     goals = tmp_path / "goals.txt"
     goals.write_text("% nothing here\n")
