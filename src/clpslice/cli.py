@@ -9,7 +9,8 @@ Two subcommands:
 * ``stats``: slice every executed argument position of each goal in a
   goal file and tabulate average slice sizes.
 
-Exit codes: 0 success, 1 usage or input error, 2 no proof tree,
+Exit codes: 0 success, 1 usage or input error (including input nested
+or derived too deeply for Python's recursion limit), 2 no proof tree,
 3 oracle validation failure (with ``--oracle-domain``).
 """
 
@@ -31,8 +32,15 @@ from .depgraph import (
     graph_to_dot,
     tree_dep_graph,
 )
-from .depgraph import tree_slice as undirected_tree_slice
-from .directional import annotate, directed_to_dot, directional_slice, io_classes, orient
+from .directional import (
+    Annotation,
+    all_dual,
+    annotate,
+    directed_to_dot,
+    directional_slice,
+    io_classes,
+    orient,
+)
 from .engine import (
     NoSolution,
     Solution,
@@ -134,6 +142,9 @@ def main(argv: list[str] | None = None) -> int:
             detail = f" (deepest derivation tree: {exc.deepest.node_count()} nodes)"
         print(f"clpslice: no solution: {exc}{detail}", file=sys.stderr)
         return EXIT_NO_SOLUTION
+    except RecursionError:
+        print("clpslice: recursion limit exceeded", file=sys.stderr)
+        return EXIT_USAGE
 
 
 def _read_program(path: str) -> Program:
@@ -166,17 +177,30 @@ class _SolutionSlice:
     solution: Solution
     tree_slice: Slice
     graph: DependencyGraph
+    annotation: Annotation
 
 
-def _slice_solution(solution: Solution, criterion: TreePosition,
-                    undirected: bool) -> _SolutionSlice:
-    graph = tree_dep_graph(solution.tree)
+def _annotation(solution: Solution, undirected: bool) -> Annotation:
+    """Observed groundness, or none at all under ``--undirected``, where
+    a directional slice is the plain dependency component."""
     if undirected:
-        sl = undirected_tree_slice(solution.tree, criterion, graph)
-    else:
-        annotation = annotate(solution.tree, solution.log)
-        sl = directional_slice(solution.tree, annotation, criterion, graph)
-    return _SolutionSlice(solution, sl, graph)
+        return all_dual(solution.tree)
+    return annotate(solution.tree, solution.log)
+
+
+def _slice_solution(solution: Solution, criteria: list[TreePosition],
+                    undirected: bool) -> _SolutionSlice | None:
+    """The union of the criteria's slices, attributed to the first."""
+    if not criteria:
+        return None
+    tree = solution.tree
+    graph = tree_dep_graph(tree)
+    annotation = _annotation(solution, undirected)
+    union: frozenset[TreePosition] = frozenset()
+    for alpha in criteria:
+        union |= directional_slice(tree, annotation, alpha, graph).positions
+    return _SolutionSlice(solution, Slice(SliceKind.TREE, union, criteria[0]),
+                          graph, annotation)
 
 
 def _cmd_slice(args: argparse.Namespace) -> int:
@@ -188,31 +212,17 @@ def _cmd_slice(args: argparse.Namespace) -> int:
     if args.mode in ("tree", "dynamic"):
         criterion_addr = parse_tree_address(args.at)
         sliced = [
-            _slice_solution(sol, criterion_addr, args.undirected) for sol in solutions
+            _slice_solution(sol, [criterion_addr], args.undirected) for sol in solutions
         ]
     else:
         q = parse_program_address(args.at)
         _validate_program_address(program, goal, q)
         sliced = []
         for sol in solutions:
-            instances = phi_inverse(sol.tree, q)
+            instances = sorted(phi_inverse(sol.tree, q))
             if not instances:
                 warnings.warn(f"program position {q.address} has no instance in the proof tree")
-            graph = tree_dep_graph(sol.tree)
-            union: frozenset[TreePosition] = frozenset()
-            annotation = None if args.undirected else annotate(sol.tree, sol.log)
-            for inst in sorted(instances):
-                if args.undirected:
-                    sl = undirected_tree_slice(sol.tree, inst, graph)
-                else:
-                    sl = directional_slice(sol.tree, annotation, inst, graph)
-                union |= sl.positions
-            if instances:
-                first = min(instances)
-                sliced.append(_SolutionSlice(
-                    sol, Slice(SliceKind.TREE, union, first), graph))
-            else:
-                sliced.append(None)
+            sliced.append(_slice_solution(sol, instances, args.undirected))
 
     reports = []
     tree_addresses: set[str] = set()
@@ -285,9 +295,8 @@ def _render_dot(args: argparse.Namespace, entry: _SolutionSlice) -> str:
     if args.undirected:
         return graph_to_dot(entry.graph, tree.pos_table,
                             entry.tree_slice.positions, entry.tree_slice.criterion)
-    annotation = annotate(tree, entry.solution.log)
-    directed = orient(entry.graph, io_classes(tree, annotation))
-    return directed_to_dot(directed, tree.pos_table, annotation,
+    directed = orient(entry.graph, io_classes(tree, entry.annotation))
+    return directed_to_dot(directed, tree.pos_table, entry.annotation,
                            entry.tree_slice.positions, entry.tree_slice.criterion)
 
 
@@ -352,19 +361,16 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             # goal only; the rest of the file still runs
             rows.append({"goal": line, "status": "failed", "error": "recursion limit exceeded"})
             continue
-        tree, log = solution.tree, solution.log
+        tree = solution.tree
         graph = tree_dep_graph(tree)
-        annotation = None if args.undirected else annotate(tree, log)
+        annotation = _annotation(solution, args.undirected)
         argpos = sorted(argument_positions(tree))
         node_pcts: list[float] = []
         arg_pcts: list[float] = []
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             for pos in argpos:
-                if args.undirected:
-                    sl = undirected_tree_slice(tree, pos, graph)
-                else:
-                    sl = directional_slice(tree, annotation, pos, graph)
+                sl = directional_slice(tree, annotation, pos, graph)
                 stats = compute_stats(tree, sl.positions)
                 node_pcts.append(stats.slice_node_pct)
                 arg_pcts.append(stats.slice_argpos_pct)

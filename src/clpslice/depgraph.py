@@ -1,5 +1,5 @@
-"""Dependency graphs on tree and program positions, and the slices
-their connected components induce.
+"""Dependency graphs on tree and program positions, and slices as
+backward reachability over them.
 
 Four edge kinds connect positions:
 
@@ -11,8 +11,12 @@ Four edge kinds connect positions:
 * local edges: two occurrences of the same variable in one clause
   occurrence.
 
-Components of the resulting graph over-approximate value flow, so the
-component of a position is a backward slice with respect to it.
+Edges over-approximate value flow, so the positions that reach a
+position are a backward slice with respect to it.  ``DependencyGraph.reach``
+is the one slicing routine: given input/output roles (see
+``clpslice.directional``) it refuses to cross a transition edge from an
+input to an output or a local edge from an output to an input; given
+none it returns the position's connected component.
 """
 
 from __future__ import annotations
@@ -77,55 +81,56 @@ class Slice:
             raise ValueError("slice must contain its criterion")
 
 
+class IOKind(Enum):
+    INPUT = "input"
+    OUTPUT = "output"
+    NEITHER = "neither"
+
+
+def _blocked(kind: DepEdgeKind, source: IOKind, target: IOKind) -> bool:
+    """Whether groundness forbids the arc ``source -> target`` of an edge:
+    a transition arc may not run input -> output, a local arc not
+    output -> input.  Every other arc is open."""
+    if kind is DepEdgeKind.TRANSITION:
+        return source is IOKind.INPUT and target is IOKind.OUTPUT
+    if kind is DepEdgeKind.LOCAL:
+        return source is IOKind.OUTPUT and target is IOKind.INPUT
+    return False
+
+
 class DependencyGraph:
-    """Undirected position graph with its connected-component closure."""
+    """Undirected position graph, indexed by incident edges."""
 
     def __init__(self, universe: Iterable[Position], edges: Iterable[DepEdge]):
         self.universe: frozenset[Position] = frozenset(universe)
         self.edges: frozenset[DepEdge] = frozenset(edges)
-        adjacency: dict[Position, set[tuple[Position, DepEdgeKind]]] = {
-            p: set() for p in self.universe
+        self.incident: dict[Position, list[tuple[Position, DepEdgeKind]]] = {
+            p: [] for p in self.universe
         }
-        parent: dict[Position, Position] = {p: p for p in self.universe}
-
-        def find(x: Position) -> Position:
-            root = x
-            while parent[root] != root:
-                root = parent[root]
-            while parent[x] != root:
-                parent[x], x = root, parent[x]
-            return root
-
         for e in self.edges:
-            adjacency[e.a].add((e.b, e.kind))
-            adjacency[e.b].add((e.a, e.kind))
-            ra, rb = find(e.a), find(e.b)
-            if ra != rb:
-                parent[rb] = ra
-        self.adjacency: dict[Position, frozenset[tuple[Position, DepEdgeKind]]] = {
-            p: frozenset(s) for p, s in adjacency.items()
-        }
-        self._root = {p: find(p) for p in self.universe}
+            self.incident[e.a].append((e.b, e.kind))
+            self.incident[e.b].append((e.a, e.kind))
 
-    def component_of(self, pos: Position) -> frozenset[Position]:
-        if pos not in self.universe:
-            raise ValueError(f"foreign position: {pos}")
-        root = self._root[pos]
-        return frozenset(p for p, r in self._root.items() if r == root)
-
-    def components(self) -> list[frozenset[Position]]:
-        groups: dict[Position, set[Position]] = {}
-        for p, r in self._root.items():
-            groups.setdefault(r, set()).add(p)
-        return [frozenset(g) for g in groups.values()]
-
-    def connected_components(self) -> list[frozenset[Position]]:
-        """Components of edge-incident positions (isolated ones omitted)."""
-        touched = {p for e in self.edges for p in (e.a, e.b)}
-        return [c for c in self.components() if c & touched]
-
-    def edge_pairs(self) -> frozenset[tuple[Position, Position]]:
-        return frozenset((e.a, e.b) for e in self.edges)
+    def reach(self, alpha: Position,
+              io: Mapping[Position, IOKind] | None = None) -> frozenset[Position]:
+        """Positions with a path to ``alpha``: an edge ``q -- pos`` is
+        crossed backwards unless ``io`` blocks the arc ``q -> pos``.
+        Without ``io`` nothing is blocked, so this is alpha's component."""
+        if alpha not in self.universe:
+            raise ValueError(f"foreign position: {alpha}")
+        reached = {alpha}
+        frontier = [alpha]
+        while frontier:
+            pos = frontier.pop()
+            target = io.get(pos, IOKind.NEITHER) if io is not None else None
+            for q, kind in self.incident[pos]:
+                if q in reached:
+                    continue
+                if io is not None and _blocked(kind, io.get(q, IOKind.NEITHER), target):
+                    continue
+                reached.add(q)
+                frontier.append(q)
+        return frozenset(reached)
 
     def __repr__(self) -> str:
         return f"DependencyGraph({len(self.universe)} positions, {len(self.edges)} edges)"
@@ -257,7 +262,7 @@ def program_dep_graph(program: Program, goal: Clause) -> DependencyGraph:
 
 
 # ---------------------------------------------------------------------------
-# Slicing by equivalence class
+# Slicing by reachability
 
 def _warn_if_not_variable(elem: object) -> None:
     if not isinstance(elem, Variable):
@@ -270,15 +275,15 @@ def _warn_if_not_variable(elem: object) -> None:
 
 def tree_slice(tree: DerivationTree, alpha: TreePosition,
                graph: DependencyGraph | None = None) -> Slice:
-    """The equivalence class of a tree position under dependency closure."""
+    """Every tree position connected to alpha by dependency edges."""
     _warn_if_not_variable(tree.element_at(alpha))
     g = graph if graph is not None else tree_dep_graph(tree)
-    return Slice(SliceKind.TREE, g.component_of(alpha), alpha)
+    return Slice(SliceKind.TREE, g.reach(alpha), alpha)
 
 
 def program_slice(program: Program, goal: Clause, beta: ProgramPosition,
                   graph: DependencyGraph | None = None) -> Slice:
-    """The static backward slice: beta's component in the program graph."""
+    """The static backward slice: every program position connected to beta."""
     g = graph if graph is not None else program_dep_graph(program, goal)
     if beta not in g.universe:
         raise ValueError(f"no such program position: {beta.address}")
@@ -290,7 +295,7 @@ def program_slice(program: Program, goal: Clause, beta: ProgramPosition,
     else:
         table = program.position_table
     _warn_if_not_variable(table[beta])
-    return Slice(SliceKind.PROGRAM, g.component_of(beta), beta)
+    return Slice(SliceKind.PROGRAM, g.reach(beta), beta)
 
 
 # ---------------------------------------------------------------------------

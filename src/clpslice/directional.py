@@ -5,9 +5,11 @@ An annotation marks each position Inherited (ground at call),
 Synthesized (ground at success), or Dual (no information).  Combined
 with head/body placement this classifies positions as Input or Output,
 which orients transition and local edges; everything else stays
-bidirectional.  The backward-reachable set of a position in the
-directed graph is a slice, usually smaller than its undirected
-component.
+bidirectional.  A directional slice is the set of positions that reach
+the criterion along the oriented edges (``DependencyGraph.reach`` with
+the input/output roles), usually smaller than its undirected component;
+under the all-Dual annotation nothing is oriented and the two coincide.
+``orient`` materialises the arcs for DOT output.
 """
 
 from __future__ import annotations
@@ -16,21 +18,23 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping
 
-from .depgraph import DepEdgeKind, DependencyGraph, Slice, SliceKind, tree_dep_graph
+from .depgraph import (
+    DependencyGraph,
+    IOKind,
+    Slice,
+    SliceKind,
+    _blocked,
+    _warn_if_not_variable,
+    tree_dep_graph,
+)
 from .engine import GroundnessLog, ProofTree
-from .syntax import HEAD_LITERAL, TreePosition, Variable
+from .syntax import HEAD_LITERAL, TreePosition
 
 
 class Annot(Enum):
     INHERITED = "inherited"
     SYNTHESIZED = "synthesized"
     DUAL = "dual"
-
-
-class IOKind(Enum):
-    INPUT = "input"
-    OUTPUT = "output"
-    NEITHER = "neither"
 
 
 @dataclass(frozen=True)
@@ -96,12 +100,6 @@ class DirectedDepGraph:
     arcs: frozenset[tuple[TreePosition, TreePosition]]
     base: DependencyGraph
 
-    def predecessors(self) -> dict[TreePosition, frozenset[TreePosition]]:
-        pred: dict[TreePosition, set[TreePosition]] = {p: set() for p in self.universe}
-        for a, b in self.arcs:
-            pred[b].add(a)
-        return {p: frozenset(s) for p, s in pred.items()}
-
 
 def orient(graph: DependencyGraph, io: Mapping[TreePosition, IOKind]) -> DirectedDepGraph:
     """Direct each edge of the undirected graph.
@@ -111,46 +109,20 @@ def orient(graph: DependencyGraph, io: Mapping[TreePosition, IOKind]) -> Directe
     """
     arcs: set[tuple[TreePosition, TreePosition]] = set()
     for e in graph.edges:
-        a, b = e.a, e.b
-        ka, kb = io.get(a, IOKind.NEITHER), io.get(b, IOKind.NEITHER)
-        if e.kind is DepEdgeKind.TRANSITION and ka is IOKind.OUTPUT and kb is IOKind.INPUT:
-            arcs.add((a, b))
-        elif e.kind is DepEdgeKind.TRANSITION and kb is IOKind.OUTPUT and ka is IOKind.INPUT:
-            arcs.add((b, a))
-        elif e.kind is DepEdgeKind.LOCAL and ka is IOKind.INPUT and kb is IOKind.OUTPUT:
-            arcs.add((a, b))
-        elif e.kind is DepEdgeKind.LOCAL and kb is IOKind.INPUT and ka is IOKind.OUTPUT:
-            arcs.add((b, a))
-        else:
-            arcs.add((a, b))
-            arcs.add((b, a))
+        ka, kb = io.get(e.a, IOKind.NEITHER), io.get(e.b, IOKind.NEITHER)
+        if not _blocked(e.kind, ka, kb):
+            arcs.add((e.a, e.b))
+        if not _blocked(e.kind, kb, ka):
+            arcs.add((e.b, e.a))
     return DirectedDepGraph(graph.universe, frozenset(arcs), graph)
 
 
 def directional_slice(tree: ProofTree, annotation: Annotation, alpha: TreePosition,
                       graph: DependencyGraph | None = None) -> Slice:
     """Backward reachability to alpha in the directed dependency graph."""
-    import warnings
-
-    elem = tree.element_at(alpha)
-    if not isinstance(elem, Variable):
-        warnings.warn(
-            "slicing criterion is not a variable position; the class of a "
-            "constant or atom position is reported as-is",
-            stacklevel=2,
-        )
+    _warn_if_not_variable(tree.element_at(alpha))
     base = graph if graph is not None else tree_dep_graph(tree)
-    directed = orient(base, io_classes(tree, annotation))
-    pred = directed.predecessors()
-    reached = {alpha}
-    frontier = [alpha]
-    while frontier:
-        pos = frontier.pop()
-        for p in pred[pos]:
-            if p not in reached:
-                reached.add(p)
-                frontier.append(p)
-    return Slice(SliceKind.TREE, frozenset(reached), alpha)
+    return Slice(SliceKind.TREE, base.reach(alpha, io_classes(tree, annotation)), alpha)
 
 
 # ---------------------------------------------------------------------------

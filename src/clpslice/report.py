@@ -12,11 +12,11 @@ from .engine import DerivationTree, GroundnessLog
 from .syntax import (
     Atom,
     Clause,
-    ConstraintExpr,
     GOAL_CLAUSE,
     Program,
     ProgramPosition,
     TreePosition,
+    render_constraint,
     render_term,
 )
 
@@ -163,41 +163,15 @@ def _render_atom_marked(a: Atom, literal: int,
     return _mark(f"{a.pred}({inner})", () in marked)
 
 
-def _render_constraint_marked(c: ConstraintExpr, literal: int,
-                              marked_paths: dict[int, set[tuple[int, ...]]]) -> str:
-    from .syntax import ARITH_OPS, Compound, _PREC
-
-    marked = marked_paths.get(literal, set())
-    counter = {"k": 0}
-
-    def walk(t, prec: int) -> str:
-        if isinstance(t, Compound) and t.functor in ARITH_OPS and len(t.args) == 2:
-            p = _PREC[t.functor]
-            left = walk(t.args[0], p)
-            right = walk(t.args[1], p + 1)
-            if right.startswith("-"):
-                right = f"({right})"
-            s = f"{left}{t.functor}{right}"
-            return f"({s})" if p < prec else s
-        if isinstance(t, Compound) and t.functor == "-" and len(t.args) == 1:
-            return "-" + walk(t.args[0], 3)
-        counter["k"] += 1
-        s = render_term(t)
-        if prec >= 2 and s.startswith("-"):
-            s = f"({s})"
-        return _mark(s, (counter["k"],) in marked)
-
-    body = f"{walk(c.lhs, 0)}{c.relation}{walk(c.rhs, 0)}"
-    return _mark("{" + body + "}", () in marked)
-
-
 def render_marked_clause(clause: Clause, marked_paths: dict[int, set[tuple[int, ...]]]) -> str:
     parts = []
     for lit, item in enumerate(clause.body, start=1):
         if isinstance(item, Atom):
             parts.append(_render_atom_marked(item, lit, marked_paths))
         else:
-            parts.append(_render_constraint_marked(item, lit, marked_paths))
+            marked = marked_paths.get(lit, set())
+            text = render_constraint(item, lambda k, s: _mark(s, (k,) in marked))
+            parts.append(_mark("{" + text + "}", () in marked))
     body = ", ".join(parts)
     if clause.head is None:
         return f":- {body}."

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Union
+from itertools import count
+from typing import Callable, Iterator, Union
 
 #: Pseudo clause index used for goal positions, rendered as "g".
 GOAL_CLAUSE = -1
@@ -416,24 +417,26 @@ def render_term(t: Term) -> str:
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 
-def _render_arith(t: Term, prec: int) -> str:
+def _render_arith(t: Term, prec: int, leaf: Callable[[str], str] | None = None) -> str:
+    """Infix rendering; ``leaf``, if given, rewrites each variable or
+    constant occurrence's text, left to right."""
     if isinstance(t, Compound) and t.functor in ARITH_OPS and len(t.args) == 2:
         p = _PREC[t.functor]
-        left = _render_arith(t.args[0], p)
-        right = _render_arith(t.args[1], p + 1)
+        left = _render_arith(t.args[0], p, leaf)
+        right = _render_arith(t.args[1], p + 1, leaf)
         if right.startswith("-"):
             right = f"({right})"
         s = f"{left}{t.functor}{right}"
         return f"({s})" if p < prec else s
     if isinstance(t, Compound) and t.functor == "-" and len(t.args) == 1:
-        inner = _render_arith(t.args[0], 3)
+        inner = _render_arith(t.args[0], 3, leaf)
         return f"-{inner}"
     if isinstance(t, Compound) and t.functor in ARITH_OPS:
         raise ValueError(f"malformed arithmetic term {t!r}")
     s = render_term(t)
     if prec >= 2 and s.startswith("-"):
-        return f"({s})"
-    return s
+        s = f"({s})"
+    return s if leaf is None else leaf(s)
 
 
 def render_atom(a: Atom) -> str:
@@ -442,8 +445,13 @@ def render_atom(a: Atom) -> str:
     return f"{a.pred}({', '.join(render_term(t) for t in a.args)})"
 
 
-def render_constraint(c: ConstraintExpr) -> str:
-    return f"{_render_arith(c.lhs, 0)}{c.relation}{_render_arith(c.rhs, 0)}"
+def render_constraint(c: ConstraintExpr,
+                      mark: Callable[[int, str], str] | None = None) -> str:
+    """Infix rendering; ``mark(k, text)``, if given, rewrites the text of
+    the k-th occurrence (the one at constraint path ``(k,)``)."""
+    occurrence = count(1)
+    leaf = None if mark is None else (lambda s: mark(next(occurrence), s))
+    return f"{_render_arith(c.lhs, 0, leaf)}{c.relation}{_render_arith(c.rhs, 0, leaf)}"
 
 
 def render_body_item(item: BodyItem) -> str:

@@ -93,7 +93,7 @@ def test_criterion_3_program_slice():
     assert x_slice.positions == frozenset(x_expected)
     assert not z_slice.positions & x_slice.positions
     # the two slices are exactly the two non-singleton components
-    bound = [c for c in graph.connected_components()]
+    bound = {graph.reach(e.a) for e in graph.edges}
     assert sorted(map(len, bound)) == [4, 16]
     _report(3, "slice wrt Z = Z occurrences + 42; wrt X = exact complement component")
 
@@ -216,8 +216,8 @@ def test_criterion_7_structural_properties_over_corpus():
         annotation = annotate(tree, solution.log)
 
         # phi homomorphism: tree edges map into program edges
-        ppairs = pgraph.edge_pairs()
-        ppairs = ppairs | frozenset((b, a) for a, b in ppairs)
+        ppairs = {(e.a, e.b) for e in pgraph.edges}
+        ppairs = ppairs | {(b, a) for a, b in ppairs}
         for edge in graph.edges:
             image = (tree.phi[edge.a], tree.phi[edge.b])
             if image[0] != image[1] and image not in ppairs:

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import clpslice
 from clpslice import corpus_path
 from clpslice.cli import main
 from clpslice.report import SliceReport, load_report
@@ -150,6 +154,20 @@ def test_stats_recursion_limit_fails_one_goal(tmp_path, capsys):
     assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
     assert rows[1]["error"] == "recursion limit exceeded"
     assert "2/3" in out
+
+
+def test_slice_recursion_limit_is_a_usage_error():
+    # a fresh process, so the interpreter's own stack depth applies and
+    # an escaping RecursionError would print its traceback
+    src = os.path.dirname(os.path.dirname(clpslice.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-m", "clpslice.cli", "slice", str(corpus_path("fib.clp")),
+         "--goal", "fib(10,F).", "--at", "0/1/2"],
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 1
+    assert "clpslice: recursion limit exceeded" in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 def test_stats_empty_goal_file(tmp_path, capsys):

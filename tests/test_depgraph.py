@@ -31,7 +31,7 @@ def addresses(positions):
 def test_tree_graph_has_two_bound_components(chain):
     _, _, tree = chain
     graph = tree_dep_graph(tree)
-    components = [c for c in graph.connected_components()]
+    components = {graph.reach(e.a) for e in graph.edges}
     assert len(components) == 2
     by_size = sorted(components, key=len)
     assert addresses(by_size[0]) == ["0/1/3", "1/0/3", "1/3/1", "3/0/1"]
@@ -39,7 +39,7 @@ def test_tree_graph_has_two_bound_components(chain):
     assert len(by_size[1]) == 16
     # atom positions hang loose: they are neither terms nor variable occurrences
     atom_pos = TreePosition(0, 1, ())
-    assert graph.component_of(atom_pos) == frozenset({atom_pos})
+    assert graph.reach(atom_pos) == frozenset({atom_pos})
 
 
 def test_tree_graph_ground_fact():
@@ -47,11 +47,11 @@ def test_tree_graph_ground_fact():
     tree = DerivationTree(Skeleton((SkelNode(0, 0, fact, None, None, ()),)))
     graph = tree_dep_graph(tree)
     # f(1) and its subterm are functor-linked; 2 stands alone
-    assert graph.component_of(TreePosition(0, 0, (1,))) == {
+    assert graph.reach(TreePosition(0, 0, (1,))) == {
         TreePosition(0, 0, (1,)),
         TreePosition(0, 0, (1, 1)),
     }
-    assert graph.component_of(TreePosition(0, 0, (2,))) == {TreePosition(0, 0, (2,))}
+    assert graph.reach(TreePosition(0, 0, (2,))) == {TreePosition(0, 0, (2,))}
 
 
 def test_tree_slice_z(chain):
@@ -81,7 +81,7 @@ def test_tree_slice_foreign_position(chain):
 def test_program_graph_two_components(chain):
     program, goal, _ = chain
     graph = program_dep_graph(program, goal)
-    components = graph.connected_components()
+    components = {graph.reach(e.a) for e in graph.edges}
     assert len(components) == 2
     small = min(components, key=len)
     assert addresses(small) == ["0/0/3", "0/3/1", "2/0/1", "g/1/3"]
@@ -113,7 +113,7 @@ def test_transition_edges_from_every_call_site():
     program = parse_program("a(X) :- q(X).  b(Y) :- q(Y).  q(7).")
     goal = parse_goal("a(Z).")
     graph = program_dep_graph(program, goal)
-    pairs = graph.edge_pairs()
+    pairs = {(e.a, e.b) for e in graph.edges}
     head_arg = ProgramPosition(2, 0, (1,))
     a_call = ProgramPosition(0, 1, (1,))
     b_call = ProgramPosition(1, 1, (1,))
@@ -125,9 +125,9 @@ def test_phi_homomorphism(chain):
     program, goal, tree = chain
     tgraph = tree_dep_graph(tree)
     pgraph = program_dep_graph(program, goal)
-    program_pairs = pgraph.edge_pairs() | frozenset(
-        (b, a) for a, b in pgraph.edge_pairs()
-    )
+    program_pairs = {(e.a, e.b) for e in pgraph.edges} | {
+        (e.b, e.a) for e in pgraph.edges
+    }
     for edge in tgraph.edges:
         image = (tree.phi[edge.a], tree.phi[edge.b])
         assert image[0] == image[1] or image in program_pairs, (
@@ -153,17 +153,17 @@ def test_slice_requires_criterion_membership():
 def test_components_partition_universe(chain):
     _, _, tree = chain
     graph = tree_dep_graph(tree)
-    components = graph.components()
+    components = {graph.reach(p) for p in graph.universe}
     seen = set()
     for component in components:
         assert component
         assert not seen & component
         seen |= component
     assert seen == graph.universe
-    # component_of is idempotent with respect to membership
+    # reach is idempotent with respect to membership
     for component in components:
         for pos in component:
-            assert graph.component_of(pos) == component
+            assert graph.reach(pos) == component
 
 
 def test_dot_output(chain):

@@ -97,7 +97,7 @@ def test_orient_arcs_cover_edges(io_flow):
     annotation = annotate(io_flow.tree, io_flow.log)
     graph = tree_dep_graph(io_flow.tree)
     directed = orient(graph, io_classes(io_flow.tree, annotation))
-    pairs = graph.edge_pairs()
+    pairs = {(e.a, e.b) for e in graph.edges}
     for a, b in directed.arcs:
         assert (a, b) in pairs or (b, a) in pairs
 

@@ -93,8 +93,8 @@ def test_phi_homomorphism_random_programs():
     for program, goal, solution in derived_cases(25, seed=7):
         tree = solution.tree
         pgraph = program_dep_graph(program, goal)
-        pairs = pgraph.edge_pairs()
-        pairs = pairs | frozenset((b, a) for a, b in pairs)
+        pairs = {(e.a, e.b) for e in pgraph.edges}
+        pairs = pairs | {(b, a) for a, b in pairs}
         for edge in tree_dep_graph(tree).edges:
             image = (tree.phi[edge.a], tree.phi[edge.b])
             assert image[0] == image[1] or image in pairs
