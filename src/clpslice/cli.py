@@ -9,9 +9,9 @@ Two subcommands:
 * ``stats``: slice every executed argument position of each goal in a
   goal file and tabulate average slice sizes.
 
-Exit codes: 0 success, 1 usage or input error (including input nested
-or derived too deeply for Python's recursion limit), 2 no proof tree,
-3 oracle validation failure (with ``--oracle-domain``).
+Exit codes: 0 success, 1 usage or input error (including a term nested
+too deeply for Python's recursion limit), 2 no proof tree, 3 oracle
+validation failure (with ``--oracle-domain``).
 """
 
 from __future__ import annotations
@@ -303,8 +303,6 @@ def _render_dot(args: argparse.Namespace, entry: _SolutionSlice) -> str:
 def _validate_slices(entries: list[_SolutionSlice], dom: tuple[int, int]) -> bool:
     ok = True
     for entry in entries:
-        if entry is None:
-            continue
         tree = entry.solution.tree
         criterion = entry.tree_slice.criterion
         elem = tree.element_at(criterion)
@@ -324,7 +322,7 @@ def _print_slice(program: Program, goal, entries, report: SliceReport) -> None:
           f"{report.stats.tree_argpos_count} argument positions")
     print(f"slice: {report.stats.slice_node_pct:.2f}% of nodes, "
           f"{report.stats.slice_argpos_pct:.2f}% of argument positions")
-    entry = next((e for e in entries if e is not None), None)
+    entry = entries[0] if entries else None
     if entry is not None:
         tree = entry.solution.tree
         print("tree positions:")
@@ -357,23 +355,20 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             rows.append({"goal": line, "status": "failed", "error": str(exc)})
             continue
         except RecursionError:
-            # a proof tree too deep for the recursive engine fails this
-            # goal only; the rest of the file still runs
+            # a term nested too deeply fails this goal only; the rest
+            # of the file still runs
             rows.append({"goal": line, "status": "failed", "error": "recursion limit exceeded"})
             continue
         tree = solution.tree
         graph = tree_dep_graph(tree)
-        annotation = _annotation(solution, args.undirected)
+        io = io_classes(tree, _annotation(solution, args.undirected))
         argpos = sorted(argument_positions(tree))
         node_pcts: list[float] = []
         arg_pcts: list[float] = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            for pos in argpos:
-                sl = directional_slice(tree, annotation, pos, graph)
-                stats = compute_stats(tree, sl.positions)
-                node_pcts.append(stats.slice_node_pct)
-                arg_pcts.append(stats.slice_argpos_pct)
+        for pos in argpos:
+            stats = compute_stats(tree, graph.reach(pos, io))
+            node_pcts.append(stats.slice_node_pct)
+            arg_pcts.append(stats.slice_argpos_pct)
         rows.append({
             "goal": line,
             "status": "ok",

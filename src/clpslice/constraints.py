@@ -121,10 +121,6 @@ class ConstraintStore:
     def issubset(self, other: "ConstraintStore") -> bool:
         return set(self.constraints) <= set(other.constraints)
 
-    def restrict(self, keep: Iterable[StoreConstraint]) -> "ConstraintStore":
-        wanted = set(keep)
-        return ConstraintStore(c for c in self.constraints if c in wanted)
-
     def union(self, extra: Iterable[StoreConstraint]) -> "ConstraintStore":
         return ConstraintStore((*self.constraints, *extra))
 

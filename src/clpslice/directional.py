@@ -44,10 +44,6 @@ class Annotation:
     def of(self, pos: TreePosition) -> Annot:
         return self.positions.get(pos, Annot.DUAL)
 
-    @property
-    def is_all_dual(self) -> bool:
-        return all(a is Annot.DUAL for a in self.positions.values())
-
 
 def annotate(tree: ProofTree, log: GroundnessLog) -> Annotation:
     """Annotation induced by the observed groundness: ground at call

@@ -6,12 +6,15 @@ equation per (body atom, child head) pair.  ``derive`` searches with
 leftmost selection, textual clause order, and chronological backtracking,
 pruning any branch whose store goes unsatisfiable.
 
-The store is never re-solved from scratch.  Each agenda step extends
-its parent's ``SolvedState`` (see ``constraints``) by what the step
-adds, one body constraint for a post and the edge equations for a
-call, and hands the new state down the recursion; backtracking just
-returns to the parent's state, which extension never changes.  The
-largest satisfiable partial skeleton, kept for ``NoSolution``, is
+The search is one loop over a stack of choice points, as in Warren's
+Abstract Machine, so no Python recursion limit caps a tree's size.  A
+call pushes one choice point per matching clause, holding the rest of
+the agenda, the caller's ``SolvedState`` (see ``constraints``) and the
+lengths of the node and event lists; resuming one cuts both lists back
+to those lengths.  The store is never re-solved from scratch: each
+agenda step extends the current state by what it adds, one body
+constraint for a post and the edge equations for a call, and
+extension never changes the state it starts from.  The largest satisfiable partial skeleton, kept for ``NoSolution``, is
 judged exactly without building its store: every attached node's
 clause constraint is either posted already or a pending ``post`` step
 of the agenda, so the current state extended by those pending
@@ -325,10 +328,10 @@ class _Derivation:
         root = _SearchNode(0, GOAL_CLAUSE, goal, None, None, 0,
                            [None] * len(goal.call_literals()))
         self.nodes.append(root)
-        agenda = tuple(self._node_agenda(0, goal))
+        agenda = self._node_agenda(0, goal, None)
         solved = SolvedState()
         self._record_deepest(solved, agenda)
-        self._expand(agenda, solved)
+        self._search(agenda, solved)
         if not self.solutions:
             deepest = DerivationTree(self.deepest) if self.deepest is not None else None
             reason = ("depth limit exceeded with no proof tree"
@@ -338,86 +341,88 @@ class _Derivation:
 
     # -- agenda ------------------------------------------------------------
 
-    def _node_agenda(self, index: int, clause: Clause) -> list[tuple]:
-        agenda: list[tuple] = []
+    @staticmethod
+    def _node_agenda(index: int, clause: Clause, rest: tuple | None) -> tuple:
+        """The node's body steps and its completion, in front of ``rest``;
+        an agenda is a linked list of ``(step, rest)`` pairs ending in None."""
+        steps: list[tuple] = []
         slot = 0
         for lit, item in enumerate(clause.body, start=1):
             if isinstance(item, ConstraintExpr):
-                agenda.append(("post", index, lit, item))
+                steps.append(("post", index, lit, item))
             else:
-                agenda.append(("call", index, lit, item, slot))
+                steps.append(("call", index, lit, item, slot))
                 slot += 1
-        agenda.append(("complete", index))
+        agenda = ("complete", index), rest
+        for step in reversed(steps):
+            agenda = step, agenda
         return agenda
 
     def _done(self) -> bool:
         return self.max_solutions is not None and len(self.solutions) >= self.max_solutions
 
-    def _expand(self, agenda: tuple, solved: SolvedState) -> None:
-        if self._done():
-            return
-        if not agenda:
-            skeleton = Skeleton(tuple(n.freeze() for n in self.nodes))
-            self.solutions.append(
-                Solution(ProofTree(skeleton), GroundnessLog(tuple(self.events)))
-            )
-            return
-        step, rest = agenda[0], agenda[1:]
-        if step[0] == "post":
-            self._step_post(step, rest, solved)
-        elif step[0] == "call":
-            self._step_call(step, rest, solved)
-        else:
-            self._step_complete(step, rest, solved)
+    def _search(self, agenda: tuple | None, solved: SolvedState | None) -> None:
+        """Depth-first search (see the module docstring).  A post or a
+        completion moves the branch forward in place; a call ends it, and
+        a branch whose state is None resumes the latest choice point."""
+        choices: list[tuple] = []
+        while not self._done():
+            if solved is None:
+                if not choices:
+                    return
+                clause_idx, step, rest, solved, n_nodes, n_events = choices.pop()
+                self._backtrack(n_nodes, n_events)
+                _, parent_idx, lit, atom, slot = step
+                parent = self.nodes[parent_idx]
+                index = len(self.nodes)
+                label = rename_clause(self.program.clauses[clause_idx], index)
+                head = label.head
+                assert head is not None
+                eqs = _edge_equations(parent_idx, lit, atom, index, head)
+                self.nodes.append(_SearchNode(
+                    index, clause_idx, label, parent_idx, lit, parent.depth + 1,
+                    [None] * len(label.call_literals()), tuple(eqs),
+                    self._call_pins(atom, solved)))
+                parent.children[slot] = index
+                call_ground = self._call_ground(parent_idx, lit, atom, index, head, solved)
+                self.events.append(GroundEvent("call", index, lit, call_ground))
+                solved = solved.extend(eqs, self.linear)
+                if solved is not None:
+                    agenda = self._node_agenda(index, label, rest)
+                    self._record_deepest(solved, agenda)
+            elif agenda is None:
+                skeleton = Skeleton(tuple(n.freeze() for n in self.nodes))
+                self.solutions.append(
+                    Solution(ProofTree(skeleton), GroundnessLog(tuple(self.events))))
+                solved = None
+            else:
+                step, agenda = agenda
+                if step[0] == "post":
+                    _, index, lit, expr = step
+                    ground = self._constraint_ground(index, lit, expr, solved)
+                    self.events.append(GroundEvent("post", index, lit, ground))
+                    solved = solved.extend((NumericConstraint(expr),), self.linear)
+                elif step[0] == "complete":
+                    ground = self._success_ground(step[1])
+                    self.events.append(GroundEvent("success", step[1], None, ground))
+                elif self.nodes[step[1]].depth + 1 > self.depth_limit:
+                    self.depth_hit = True
+                    solved = None
+                else:
+                    n_nodes, n_events = len(self.nodes), len(self.events)
+                    for clause_idx in reversed(self.program.clauses_for(step[3].indicator)):
+                        choices.append((clause_idx, step, agenda, solved, n_nodes, n_events))
+                    solved = None
 
-    def _step_post(self, step: tuple, rest: tuple, solved: SolvedState) -> None:
-        _, index, lit, expr = step
-        ground = self._constraint_ground(index, lit, expr, solved)
-        self.events.append(GroundEvent("post", index, lit, ground))
-        new_solved = solved.extend((NumericConstraint(expr),), self.linear)
-        if new_solved is not None:
-            self._expand(rest, new_solved)
-        self.events.pop()
-
-    def _step_call(self, step: tuple, rest: tuple, solved: SolvedState) -> None:
-        _, parent_idx, lit, atom, slot = step
-        parent = self.nodes[parent_idx]
-        if parent.depth + 1 > self.depth_limit:
-            self.depth_hit = True
-            return
-        for clause_idx in self.program.clauses_for(atom.indicator):
-            if self._done():
-                return
-            index = len(self.nodes)
-            label = rename_clause(self.program.clauses[clause_idx], index)
-            head = label.head
-            assert head is not None
-            eqs = _edge_equations(parent_idx, lit, atom, index, head)
-            pins = self._call_pins(atom, solved)
-            node = _SearchNode(index, clause_idx, label, parent_idx, lit,
-                               parent.depth + 1,
-                               [None] * len(label.call_literals()),
-                               tuple(eqs), pins)
-            self.nodes.append(node)
-            parent.children[slot] = index
-            call_ground = self._call_ground(parent_idx, lit, atom, index, head, solved)
-            self.events.append(GroundEvent("call", index, lit, call_ground))
-            new_solved = solved.extend(eqs, self.linear)
-            if new_solved is not None:
-                agenda = tuple(self._node_agenda(index, label)) + rest
-                self._record_deepest(new_solved, agenda)
-                self._expand(agenda, new_solved)
-            self.events.pop()
-            parent.children[slot] = None
-            self.nodes.pop()
-            self.local.pop(index, None)
-
-    def _step_complete(self, step: tuple, rest: tuple, solved: SolvedState) -> None:
-        _, index = step
-        ground = self._success_ground(index)
-        self.events.append(GroundEvent("success", index, None, ground))
-        self._expand(rest, solved)
-        self.events.pop()
+    def _backtrack(self, n_nodes: int, n_events: int) -> None:
+        """Cut the nodes and events back to the given heights, detaching
+        every removed node from its parent's child slot."""
+        for node in self.nodes[n_nodes:]:
+            self.local.pop(node.index, None)
+            siblings = self.nodes[node.parent].children
+            siblings[siblings.index(node.index)] = None
+        del self.nodes[n_nodes:]
+        del self.events[n_events:]
 
     # -- groundness observation ---------------------------------------------
 
@@ -470,29 +475,20 @@ class _Derivation:
                 out.append(NumericConstraint(item))
         return out
 
-    def _subtree_store(self, index: int) -> list[StoreConstraint]:
-        """The node's own contribution: subtree clause constraints and
-        equations, boundary equations, and call-time pinned values."""
-        out: list[StoreConstraint] = []
-        stack = [index]
-        while stack:
-            node = self.nodes[stack.pop()]
-            out.extend(self._node_store(node))
-            stack.extend(c for c in node.children if c is not None)
-        return out
-
     def _local_state(self, index: int) -> SolvedState:
         """The subtree-local store of a just-completed node, solved by
         extending its first child's cached state with the other
-        children's subtrees and the node's own share."""
+        children's subtrees and the node's own share.  Depth-first order
+        makes the subtree the contiguous range ``nodes[index:]``, so the
+        later children's subtrees are ``nodes[children[1]:]``."""
         node = self.nodes[index]
-        children = [c for c in node.children if c is not None]
+        children = node.children
         base = self.local.get(children[0]) if children else None
         if base is None:
-            base, others = SolvedState(), children
+            base, later = SolvedState(), self.nodes[index + 1:]
         else:
-            others = children[1:]
-        extra = [c for child in others for c in self._subtree_store(child)]
+            later = self.nodes[children[1]:] if len(children) > 1 else []
+        extra = [c for other in later for c in self._node_store(other)]
         local = base.extend(extra + self._node_store(node), self.linear)
         if local is None:
             # an unsat local store certifies nothing, like an UNSAT
@@ -527,13 +523,17 @@ class _Derivation:
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _record_deepest(self, solved: SolvedState, agenda: tuple) -> None:
+    def _record_deepest(self, solved: SolvedState, agenda: tuple | None) -> None:
         """Keep the current skeleton if it is the largest satisfiable
         one so far; the state plus the agenda's pending posts is exactly
         its constraint set (see the module docstring)."""
         if len(self.nodes) <= self.deepest_size:
             return
-        pending = [NumericConstraint(step[3]) for step in agenda if step[0] == "post"]
+        pending = []
+        while agenda is not None:
+            step, agenda = agenda
+            if step[0] == "post":
+                pending.append(NumericConstraint(step[3]))
         if solved.extend(pending, self.linear) is not None:
             self.deepest = Skeleton(tuple(n.freeze() for n in self.nodes))
             self.deepest_size = len(self.nodes)

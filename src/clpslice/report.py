@@ -16,8 +16,7 @@ from .syntax import (
     Program,
     ProgramPosition,
     TreePosition,
-    render_constraint,
-    render_term,
+    render_clause,
 )
 
 
@@ -133,50 +132,10 @@ def load_report(text: str) -> SliceReport:
 # ---------------------------------------------------------------------------
 # Highlighted listing
 
-def _mark(s: str, marked: bool) -> str:
-    return f"[{s}]" if marked else s
-
-
-def _render_term_marked(t, base: tuple[int, ...], marked: set[tuple[int, ...]]) -> str:
-    from .syntax import ARITH_OPS, Compound
-
-    if isinstance(t, Compound) and t.functor in ARITH_OPS and t.args:
-        # Constraint arithmetic is handled occurrence-wise elsewhere.
-        return render_term(t)
-    if isinstance(t, Compound) and t.args:
-        inner = ", ".join(
-            _render_term_marked(a, (*base, i), marked)
-            for i, a in enumerate(t.args, start=1)
-        )
-        return _mark(f"{t.functor}({inner})", base in marked)
-    return _mark(render_term(t), base in marked)
-
-
-def _render_atom_marked(a: Atom, literal: int,
-                        marked_paths: dict[int, set[tuple[int, ...]]]) -> str:
-    marked = marked_paths.get(literal, set())
-    if not a.args:
-        return _mark(a.pred, () in marked)
-    inner = ", ".join(
-        _render_term_marked(arg, (i,), marked) for i, arg in enumerate(a.args, start=1)
-    )
-    return _mark(f"{a.pred}({inner})", () in marked)
-
-
 def render_marked_clause(clause: Clause, marked_paths: dict[int, set[tuple[int, ...]]]) -> str:
-    parts = []
-    for lit, item in enumerate(clause.body, start=1):
-        if isinstance(item, Atom):
-            parts.append(_render_atom_marked(item, lit, marked_paths))
-        else:
-            marked = marked_paths.get(lit, set())
-            text = render_constraint(item, lambda k, s: _mark(s, (k,) in marked))
-            parts.append(_mark("{" + text + "}", () in marked))
-    body = ", ".join(parts)
-    if clause.head is None:
-        return f":- {body}."
-    head = _render_atom_marked(clause.head, 0, marked_paths)
-    return f"{head} :- {body}." if clause.body else f"{head}."
+    """The clause with the element at every marked (literal, path) bracketed."""
+    return render_clause(
+        clause, lambda lit, path, s: f"[{s}]" if path in marked_paths.get(lit, ()) else s)
 
 
 def highlight_listing(program: Program, goal: Clause,

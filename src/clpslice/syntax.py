@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, repeat
 from typing import Callable, Iterator, Union
 
 #: Pseudo clause index used for goal positions, rendered as "g".
@@ -136,10 +136,6 @@ class Clause:
 
     head: Atom | None
     body: tuple[BodyItem, ...] = ()
-
-    @property
-    def is_goal(self) -> bool:
-        return self.head is None
 
     def call_literals(self) -> tuple[int, ...]:
         """Literal indices of the non-constraint body atoms, in order."""
@@ -399,19 +395,38 @@ def strip_tags_term(t: Term) -> Term:
 
 # ---------------------------------------------------------------------------
 # Rendering
+#
+# An optional ``mark(literal, path, text)`` hook rewrites the rendered
+# text of the element at that position, as ``clause_positions`` names it.
 
-def render_term(t: Term) -> str:
+Mark = Callable[[int, tuple[int, ...], str], str]
+
+
+def render_term(t: Term, mark: Mark | None = None, literal: int = HEAD_LITERAL,
+                path: tuple[int, ...] = ()) -> str:
+    """Render a term found at ``path`` of ``literal``.  Constraint
+    arithmetic is rendered infix and never marked: its positions are
+    occurrences, marked through ``render_constraint``."""
     if isinstance(t, Compound) and t.functor in ARITH_OPS and t.args:
         return _render_arith(t, 0)
     if isinstance(t, Variable):
-        return t.name
-    if isinstance(t, NumberLiteral):
-        return str(t.value)
-    if isinstance(t, Compound):
-        if not t.args:
-            return t.functor
-        return f"{t.functor}({', '.join(render_term(a) for a in t.args)})"
-    raise TypeError(f"not a term: {t!r}")
+        s = t.name
+    elif isinstance(t, NumberLiteral):
+        s = str(t.value)
+    elif isinstance(t, Compound) and t.args:
+        # map, not a generator expression: one frame less per nesting
+        # level, and unmarked calls build no paths and no closure cells
+        if mark is None:
+            args = map(render_term, t.args)
+        else:
+            paths = [(*path, i) for i in range(1, len(t.args) + 1)]
+            args = map(render_term, t.args, repeat(mark), repeat(literal), paths)
+        s = f"{t.functor}({', '.join(args)})"
+    elif isinstance(t, Compound):
+        s = t.functor
+    else:
+        raise TypeError(f"not a term: {t!r}")
+    return s if mark is None else mark(literal, path, s)
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -439,10 +454,10 @@ def _render_arith(t: Term, prec: int, leaf: Callable[[str], str] | None = None) 
     return s if leaf is None else leaf(s)
 
 
-def render_atom(a: Atom) -> str:
-    if not a.args:
-        return a.pred
-    return f"{a.pred}({', '.join(render_term(t) for t in a.args)})"
+def render_atom(a: Atom, mark: Mark | None = None, literal: int = HEAD_LITERAL) -> str:
+    args = ", ".join(render_term(t, mark, literal, (i,)) for i, t in enumerate(a.args, start=1))
+    s = f"{a.pred}({args})" if a.args else a.pred
+    return s if mark is None else mark(literal, (), s)
 
 
 def render_constraint(c: ConstraintExpr,
@@ -454,17 +469,20 @@ def render_constraint(c: ConstraintExpr,
     return f"{_render_arith(c.lhs, 0, leaf)}{c.relation}{_render_arith(c.rhs, 0, leaf)}"
 
 
-def render_body_item(item: BodyItem) -> str:
+def render_body_item(item: BodyItem, mark: Mark | None = None, literal: int = 1) -> str:
     if isinstance(item, Atom):
-        return render_atom(item)
-    return "{" + render_constraint(item) + "}"
+        return render_atom(item, mark, literal)
+    leaf = None if mark is None else (lambda k, s: mark(literal, (k,), s))
+    s = "{" + render_constraint(item, leaf) + "}"
+    return s if mark is None else mark(literal, (), s)
 
 
-def render_clause(clause: Clause) -> str:
-    body = ", ".join(render_body_item(item) for item in clause.body)
+def render_clause(clause: Clause, mark: Mark | None = None) -> str:
+    body = ", ".join(render_body_item(item, mark, lit)
+                     for lit, item in enumerate(clause.body, start=1))
     if clause.head is None:
         return f":- {body}."
-    head = render_atom(clause.head)
+    head = render_atom(clause.head, mark)
     if not clause.body:
         return f"{head}."
     return f"{head} :- {body}."

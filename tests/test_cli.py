@@ -143,12 +143,20 @@ def test_stats_failed_goal(tmp_path, capsys):
     assert "1/2" in out
 
 
+PEANO = "add(z, Y, Y). add(s(X), Y, s(Z)) :- add(X, Y, Z).\n"
+
+
+def peano(n: int) -> str:
+    return "s(" * n + "z" + ")" * n
+
+
 def test_stats_recursion_limit_fails_one_goal(tmp_path, capsys):
+    program = tmp_path / "peano.clp"
+    program.write_text(PEANO)
     goals = tmp_path / "goals.txt"
-    goals.write_text("fib(3, F).\nfib(10, F).\nfib(4, F).\n")
+    goals.write_text(f"add(z, {peano(3)}, Z).\nadd(z, {peano(600)}, Z).\nadd({peano(4)}, z, Z).\n")
     out_file = tmp_path / "stats.json"
-    code, out, _ = run(capsys, "stats", str(corpus_path("fib.clp")), str(goals),
-                       "--json", str(out_file))
+    code, out, _ = run(capsys, "stats", str(program), str(goals), "--json", str(out_file))
     assert code == 0
     rows = json.loads(out_file.read_text())["rows"]
     assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
@@ -156,18 +164,40 @@ def test_stats_recursion_limit_fails_one_goal(tmp_path, capsys):
     assert "2/3" in out
 
 
-def test_slice_recursion_limit_is_a_usage_error():
-    # a fresh process, so the interpreter's own stack depth applies and
-    # an escaping RecursionError would print its traceback
+def slice_peano_term(tmp_path, depth: int) -> subprocess.CompletedProcess:
+    """``slice`` of a goal with a depth-deep Peano numeral, in a fresh
+    process, so the interpreter's own stack depth applies and an escaping
+    RecursionError would print its traceback."""
+    program = tmp_path / "peano.clp"
+    program.write_text(PEANO)
     src = os.path.dirname(os.path.dirname(clpslice.__file__))
-    proc = subprocess.run(
-        [sys.executable, "-m", "clpslice.cli", "slice", str(corpus_path("fib.clp")),
-         "--goal", "fib(10,F).", "--at", "0/1/2"],
+    return subprocess.run(
+        [sys.executable, "-m", "clpslice.cli", "slice", str(program),
+         "--goal", f"add(z, {peano(depth)}, Z).", "--at", "0/1/3"],
         capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
     )
+
+
+def test_slice_recursion_limit_is_a_usage_error(tmp_path):
+    proc = slice_peano_term(tmp_path, 600)
     assert proc.returncode == 1
     assert "clpslice: recursion limit exceeded" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_slice_300_deep_term(tmp_path):
+    # derived, sliced and printed: the term walkers and the renderer
+    # stay within the default recursion limit at this depth
+    proc = slice_peano_term(tmp_path, 300)
+    assert proc.returncode == 0, proc.stderr
+    assert "tree: 2 nodes, 6 argument positions" in proc.stdout
+
+
+def test_slice_fib_10(capsys):
+    code, out, _ = run(capsys, "slice", str(corpus_path("fib.clp")),
+                       "--goal", "fib(10,F).", "--at", "0/1/2")
+    assert code == 0
+    assert "tree: 178 nodes, 708 argument positions" in out
 
 
 def test_stats_empty_goal_file(tmp_path, capsys):

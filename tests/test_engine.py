@@ -1,7 +1,11 @@
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import clpslice
 from clpslice import (
     ConstraintStore,
     NoSolution,
@@ -239,3 +243,26 @@ def test_node_equation_count_matches_arity(chain_program_text):
         1 for c in tree.store if type(c).__name__ == "TermEquation"
     )
     assert eq_count == 3 + 2 + 1  # goal->p, p->q, p->r
+
+
+DEEP_DERIVE = """
+import sys
+from clpslice import corpus_path, derive, parse_goal, parse_program
+from clpslice.constraints import SolvedState
+from clpslice.syntax import Variable
+sys.setrecursionlimit(120)
+for name, goal, depth, var in (("sum", "sum(400,S).", 1000, "S"), ("fib", "fib(12,F).", 64, "F")):
+    program = parse_program(corpus_path(name + ".clp").read_text())
+    tree = derive(program, parse_goal(goal), depth_limit=depth)[0].tree
+    answer = SolvedState().extend(tree.store, {}).ground_value(Variable(var))
+    print(goal, tree.node_count(), answer)
+"""
+
+
+def test_derive_depth_is_not_bounded_by_python_recursion():
+    # a fresh process, so the recursion limit set there is the whole stack
+    src = os.path.dirname(os.path.dirname(clpslice.__file__))
+    proc = subprocess.run([sys.executable, "-c", DEEP_DERIVE], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["sum(400,S). 402 80200", "fib(12,F). 466 233"]
