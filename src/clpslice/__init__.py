@@ -32,14 +32,11 @@ from .depgraph import (
 from .directional import (
     Annot,
     Annotation,
-    DirectedDepGraph,
     IOKind,
     all_dual,
     annotate,
     directed_to_dot,
     directional_slice,
-    io_classes,
-    orient,
 )
 from .engine import (
     DerivationTree,

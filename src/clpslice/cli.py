@@ -24,7 +24,6 @@ import tempfile
 import warnings
 from dataclasses import dataclass
 
-from .constraints import strip_rename_tags
 from .depgraph import (
     DependencyGraph,
     Slice,
@@ -38,8 +37,6 @@ from .directional import (
     annotate,
     directed_to_dot,
     directional_slice,
-    io_classes,
-    orient,
 )
 from .engine import (
     NoSolution,
@@ -54,7 +51,6 @@ from .parser import ClpSyntaxError, NonlinearityError, parse_goal, parse_program
 from .report import (
     SliceReport,
     SliceStats,
-    argument_positions,
     compute_stats,
     emit_report,
     highlight_listing,
@@ -295,8 +291,7 @@ def _render_dot(args: argparse.Namespace, entry: _SolutionSlice) -> str:
     if args.undirected:
         return graph_to_dot(entry.graph, tree.pos_table,
                             entry.tree_slice.positions, entry.tree_slice.criterion)
-    directed = orient(entry.graph, io_classes(tree, entry.annotation))
-    return directed_to_dot(directed, tree.pos_table, entry.annotation,
+    return directed_to_dot(entry.graph, tree.pos_table, entry.annotation,
                            entry.tree_slice.positions, entry.tree_slice.criterion)
 
 
@@ -329,7 +324,7 @@ def _print_slice(program: Program, goal, entries, report: SliceReport) -> None:
         for pos in sorted(entry.tree_slice.positions):
             print(f"  {pos.address}  {render_element(tree.element_at(pos))}")
         store = origin_constraints(tree, entry.tree_slice.positions)
-        print(f"store slice: {strip_rename_tags(store)}")
+        print(f"store slice: {store}")
     if report.mode in ("dynamic", "position") and entry is not None:
         positions = [
             entry.solution.tree.phi[p] for p in entry.tree_slice.positions
@@ -361,8 +356,8 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             continue
         tree = solution.tree
         graph = tree_dep_graph(tree)
-        io = io_classes(tree, _annotation(solution, args.undirected))
-        argpos = sorted(argument_positions(tree))
+        io = _annotation(solution, args.undirected).io
+        argpos = sorted(tree.argument_positions)
         node_pcts: list[float] = []
         arg_pcts: list[float] = []
         for pos in argpos:

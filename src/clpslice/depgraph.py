@@ -12,11 +12,13 @@ Four edge kinds connect positions:
   occurrence.
 
 Edges over-approximate value flow, so the positions that reach a
-position are a backward slice with respect to it.  ``DependencyGraph.reach``
-is the one slicing routine: given input/output roles (see
+position are a backward slice with respect to it.  ``DependencyGraph``
+is the one graph type and ``DependencyGraph.reach`` the one slicing
+routine: given input/output roles (``Annotation.io`` in
 ``clpslice.directional``) it refuses to cross a transition edge from an
-input to an output or a local edge from an output to an input; given
-none it returns the position's connected component.
+input to an output or a local edge from an output to an input (the rule
+``_blocked``, which the directed DOT output draws with too); given none
+it returns the position's connected component.
 """
 
 from __future__ import annotations

@@ -1,21 +1,22 @@
-"""Groundness annotations, input/output classification, and directed
+"""Groundness annotations, their input/output roles, and directed
 dependency slicing.
 
 An annotation marks each position Inherited (ground at call),
 Synthesized (ground at success), or Dual (no information).  Combined
-with head/body placement this classifies positions as Input or Output,
-which orients transition and local edges; everything else stays
-bidirectional.  A directional slice is the set of positions that reach
-the criterion along the oriented edges (``DependencyGraph.reach`` with
-the input/output roles), usually smaller than its undirected component;
-under the all-Dual annotation nothing is oriented and the two coincide.
-``orient`` materialises the arcs for DOT output.
+with head/body placement this gives each position an Input or Output
+role (``Annotation.io``, computed once per annotation), which orients
+transition and local edges; everything else stays bidirectional.  A
+directional slice is the set of positions that reach the criterion
+along the oriented edges (``DependencyGraph.reach`` with those roles),
+usually smaller than its undirected component; under the all-Dual
+annotation nothing is oriented and the two coincide.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 from typing import Mapping
 
 from .depgraph import (
@@ -43,6 +44,22 @@ class Annotation:
 
     def of(self, pos: TreePosition) -> Annot:
         return self.positions.get(pos, Annot.DUAL)
+
+    @cached_property
+    def io(self) -> dict[TreePosition, IOKind]:
+        """Input/Output roles: inherited head or synthesized body positions
+        are inputs; synthesized head or inherited body positions outputs.
+        The goal clause counts as body.  Dual positions, and positions
+        the annotation does not mention, are neither."""
+        out = {}
+        for pos, annot in self.positions.items():
+            if annot is Annot.DUAL or not pos.path:
+                out[pos] = IOKind.NEITHER
+            elif (annot is Annot.INHERITED) == (pos.literal == HEAD_LITERAL):
+                out[pos] = IOKind.INPUT
+            else:
+                out[pos] = IOKind.OUTPUT
+        return out
 
 
 def annotate(tree: ProofTree, log: GroundnessLog) -> Annotation:
@@ -72,53 +89,12 @@ def all_dual(tree: ProofTree) -> Annotation:
     return Annotation({pos: Annot.DUAL for pos in tree.pos_table})
 
 
-def io_classes(tree: ProofTree, annotation: Annotation) -> dict[TreePosition, IOKind]:
-    """Input/Output roles: inherited head or synthesized body positions
-    are inputs; synthesized head or inherited body positions outputs.
-    The goal clause counts as body.  Dual positions classify as neither."""
-    out = {}
-    for pos in tree.pos_table:
-        annot = annotation.of(pos)
-        if annot is Annot.DUAL or not pos.path:
-            out[pos] = IOKind.NEITHER
-            continue
-        at_head = pos.literal == HEAD_LITERAL
-        if annot is Annot.INHERITED:
-            out[pos] = IOKind.INPUT if at_head else IOKind.OUTPUT
-        else:
-            out[pos] = IOKind.OUTPUT if at_head else IOKind.INPUT
-    return out
-
-
-@dataclass(frozen=True)
-class DirectedDepGraph:
-    universe: frozenset[TreePosition]
-    arcs: frozenset[tuple[TreePosition, TreePosition]]
-    base: DependencyGraph
-
-
-def orient(graph: DependencyGraph, io: Mapping[TreePosition, IOKind]) -> DirectedDepGraph:
-    """Direct each edge of the undirected graph.
-
-    A transition edge runs output -> input, a local edge input -> output;
-    every other combination, and every other edge kind, yields both arcs.
-    """
-    arcs: set[tuple[TreePosition, TreePosition]] = set()
-    for e in graph.edges:
-        ka, kb = io.get(e.a, IOKind.NEITHER), io.get(e.b, IOKind.NEITHER)
-        if not _blocked(e.kind, ka, kb):
-            arcs.add((e.a, e.b))
-        if not _blocked(e.kind, kb, ka):
-            arcs.add((e.b, e.a))
-    return DirectedDepGraph(graph.universe, frozenset(arcs), graph)
-
-
 def directional_slice(tree: ProofTree, annotation: Annotation, alpha: TreePosition,
                       graph: DependencyGraph | None = None) -> Slice:
     """Backward reachability to alpha in the directed dependency graph."""
     _warn_if_not_variable(tree.element_at(alpha))
     base = graph if graph is not None else tree_dep_graph(tree)
-    return Slice(SliceKind.TREE, base.reach(alpha, io_classes(tree, annotation)), alpha)
+    return Slice(SliceKind.TREE, base.reach(alpha, annotation.io), alpha)
 
 
 # ---------------------------------------------------------------------------
@@ -127,16 +103,26 @@ def directional_slice(tree: ProofTree, annotation: Annotation, alpha: TreePositi
 _ANNOT_SUFFIX = {Annot.INHERITED: "v", Annot.SYNTHESIZED: "^", Annot.DUAL: "<->"}
 
 
-def directed_to_dot(directed: DirectedDepGraph, elements: Mapping[TreePosition, object],
+def directed_to_dot(graph: DependencyGraph, elements: Mapping[TreePosition, object],
                     annotation: Annotation,
                     slice_positions: frozenset[TreePosition] | None = None,
                     criterion: TreePosition | None = None) -> str:
-    """Graphviz rendering: one-directional arcs get arrowheads, mutual
+    """Graphviz rendering of the graph oriented by the annotation's roles:
+    an edge yields each arc that ``depgraph._blocked`` leaves open, the
+    rule ``reach`` follows.  One-directional arcs get arrowheads, mutual
     pairs a single double-headed edge; labels carry annotation marks."""
     from .syntax import render_element
 
+    io = annotation.io
+    arcs: set[tuple[TreePosition, TreePosition]] = set()
+    for e in graph.edges:
+        ka, kb = io.get(e.a, IOKind.NEITHER), io.get(e.b, IOKind.NEITHER)
+        if not _blocked(e.kind, ka, kb):
+            arcs.add((e.a, e.b))
+        if not _blocked(e.kind, kb, ka):
+            arcs.add((e.b, e.a))
     lines = ["digraph directed_dependencies {", '  node [shape=box, fontname="monospace"];']
-    for pos in sorted(directed.universe):
+    for pos in sorted(graph.universe):
         label = f"{pos.address}\\n{render_element(elements[pos])} {_ANNOT_SUFFIX[annotation.of(pos)]}"
         attrs = [f'label="{label}"']
         if criterion is not None and pos == criterion:
@@ -144,15 +130,10 @@ def directed_to_dot(directed: DirectedDepGraph, elements: Mapping[TreePosition, 
         elif slice_positions is not None and pos in slice_positions:
             attrs.extend(("style=filled", "fillcolor=lightblue"))
         lines.append(f'  "{pos.address}" [{", ".join(attrs)}];')
-    seen = set()
-    for a, b in sorted(directed.arcs):
-        if (b, a) in directed.arcs:
-            key = (a, b) if a <= b else (b, a)
-            if key in seen:
-                continue
-            seen.add(key)
-            lines.append(f'  "{a.address}" -> "{b.address}" [dir=both];')
-        else:
+    for a, b in sorted(arcs):
+        if (b, a) not in arcs:
             lines.append(f'  "{a.address}" -> "{b.address}";')
+        elif a <= b:
+            lines.append(f'  "{a.address}" -> "{b.address}" [dir=both];')
     lines.append("}")
     return "\n".join(lines) + "\n"

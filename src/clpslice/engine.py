@@ -43,6 +43,7 @@ extending its first child's cached state.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .constraints import (
     ConstraintStore,
@@ -173,6 +174,23 @@ class DerivationTree:
                 phi[tp] = ProgramPosition(node.clause, literal, path)
         self.pos_table = pos_table
         self.phi = phi
+
+    @cached_property
+    def argument_positions(self) -> frozenset[TreePosition]:
+        """Top-level argument slots of every atom in the tree: the executed
+        argument positions, the denominators of Table-style statistics and
+        the criteria swept by the stats command.  Built on first use."""
+        out = set()
+        for node in self.skeleton.nodes:
+            label = node.label
+            if label.head is not None:
+                for i in range(1, len(label.head.args) + 1):
+                    out.add(TreePosition(node.index, HEAD_LITERAL, (i,)))
+            for lit, item in enumerate(label.body, start=1):
+                if isinstance(item, Atom):
+                    for i in range(1, len(item.args) + 1):
+                        out.add(TreePosition(node.index, lit, (i,)))
+        return frozenset(out)
 
     @property
     def is_proof_tree(self) -> bool:

@@ -10,7 +10,6 @@ from typing import Iterable, Mapping
 
 from .engine import DerivationTree, GroundnessLog
 from .syntax import (
-    Atom,
     Clause,
     GOAL_CLAUSE,
     Program,
@@ -71,25 +70,14 @@ class SliceReport:
 
 
 def argument_positions(tree: DerivationTree) -> frozenset[TreePosition]:
-    """Top-level argument slots of every atom in the tree: the executed
-    argument positions, the denominators of Table-style statistics and
-    the criteria swept by the stats command."""
-    out = set()
-    for node in tree.skeleton.nodes:
-        if node.label.head is not None:
-            for i in range(1, len(node.label.head.args) + 1):
-                out.add(TreePosition(node.index, 0, (i,)))
-        for lit, item in enumerate(node.label.body, start=1):
-            if isinstance(item, Atom):
-                for i in range(1, len(item.args) + 1):
-                    out.add(TreePosition(node.index, lit, (i,)))
-    return frozenset(out)
+    """The tree's executed argument positions (``DerivationTree.argument_positions``)."""
+    return tree.argument_positions
 
 
 def compute_stats(tree: DerivationTree, slice_positions: Iterable[TreePosition]) -> SliceStats:
     positions = set(slice_positions)
     nodes_touched = {p.node for p in positions}
-    argpos = argument_positions(tree)
+    argpos = tree.argument_positions
     node_count = tree.node_count()
     node_pct = 100 * Fraction(len(nodes_touched), node_count) if node_count else Fraction(0)
     arg_pct = (

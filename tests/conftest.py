@@ -1,11 +1,19 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 
 import pytest
 
 from clpslice import ConstraintStore, NumericConstraint, TermEquation, parse_goal
-from clpslice.syntax import Compound, ConstraintExpr, NumberLiteral, Term, Variable
+from clpslice.syntax import (
+    Compound,
+    ConstraintExpr,
+    NumberLiteral,
+    Term,
+    Variable,
+    parse_tree_address,
+)
 
 
 def store_of(text: str) -> ConstraintStore:
@@ -14,6 +22,20 @@ def store_of(text: str) -> ConstraintStore:
     return ConstraintStore(
         NumericConstraint(item) for item in goal.body if isinstance(item, ConstraintExpr)
     )
+
+
+def dot_arcs(dot: str) -> set:
+    """The arcs drawn by ``directed_to_dot``: an ``a -> b`` line is one
+    arc, a ``dir=both`` line both."""
+    arcs = set()
+    for line in dot.splitlines():
+        m = re.fullmatch(r'  "([^"]+)" -> "([^"]+)"( \[dir=both\])?;', line)
+        if m:
+            a, b = parse_tree_address(m[1]), parse_tree_address(m[2])
+            arcs.add((a, b))
+            if m[3]:
+                arcs.add((b, a))
+    return arcs
 
 
 def term(x) -> Term:

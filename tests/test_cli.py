@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from clpslice.report import SliceReport, load_report
 
 
 CHAIN = str(corpus_path("chain.clp"))
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -25,7 +27,18 @@ def test_tree_mode(capsys):
                        "--at", "0/1/3", "--mode", "tree")
     assert code == 0
     assert "0/1/3" in out and "3/0/1" in out
-    assert "store slice: {Z=42}" in out
+    assert "store slice: {Z=Z#1, Z#1=42}" in out
+
+
+def test_store_slice_keeps_instance_names(capsys):
+    # each clause instance keeps its own #node names, so the variables
+    # of different fib calls do not collapse into one
+    code, out, _ = run(capsys, "slice", str(corpus_path("fib.clp")),
+                       "--goal", "fib(4,F).", "--at", "0/1/2")
+    assert code == 0
+    line = next(x for x in out.splitlines() if x.startswith("store slice:"))
+    assert "F#7=F1#7+F2#7" in line
+    assert "F1=F" not in line
 
 
 def test_tree_mode_undirected_atom_criterion(capsys):
@@ -85,6 +98,22 @@ def test_dot_output(tmp_path, capsys):
     code, _, _ = run(capsys, "slice", CHAIN, "--goal", "p(X,Y,Z).",
                      "--at", "0/1/3", "--dot", str(dot_file), "--undirected")
     assert dot_file.read_text().startswith("graph")
+
+
+@pytest.mark.parametrize("name, goal, at", [
+    ("chain", "p(X, Y, Z).", "0/1/1"),
+    ("io_flow", "p(X, Y).", "0/1/2"),
+    ("pinned", "main(X, Y).", "0/1/1"),
+])
+@pytest.mark.parametrize("undirected", [False, True])
+def test_dot_output_pinned(tmp_path, capsys, name, goal, at, undirected):
+    dot_file = tmp_path / "graph.dot"
+    flags = ["--undirected"] if undirected else []
+    code, _, _ = run(capsys, "slice", str(corpus_path(f"{name}.clp")), "--goal", goal,
+                     "--at", at, "--dot", str(dot_file), *flags)
+    assert code == 0
+    pinned = DATA / "dot" / f"{name}_{'undirected' if undirected else 'directed'}.dot"
+    assert dot_file.read_bytes() == pinned.read_bytes()
 
 
 def test_exit_code_usage(capsys):

@@ -5,8 +5,6 @@ from clpslice import (
     annotate,
     derive,
     directional_slice,
-    io_classes,
-    orient,
     origin_constraints,
     parse_goal,
     parse_program,
@@ -16,7 +14,12 @@ from clpslice import (
 )
 from clpslice.directional import Annot, IOKind, all_dual, directed_to_dot
 from clpslice.oracle import is_slice
-from conftest import store_of
+from conftest import dot_arcs, store_of
+
+
+def oriented_arcs(solution, annotation):
+    graph = tree_dep_graph(solution.tree)
+    return dot_arcs(directed_to_dot(graph, solution.tree.pos_table, annotation))
 
 
 @pytest.fixture
@@ -65,7 +68,7 @@ def test_annotation_mismatch_rejected(io_flow):
 
 def test_io_classes(io_flow):
     annotation = annotate(io_flow.tree, io_flow.log)
-    io = io_classes(io_flow.tree, annotation)
+    io = annotation.io
     assert io[TreePosition(2, 0, (1,))] is IOKind.OUTPUT  # synthesized head
     assert io[TreePosition(3, 0, (1,))] is IOKind.INPUT   # inherited head
     assert io[TreePosition(1, 2, (1,))] is IOKind.OUTPUT  # inherited body (X at call of q)
@@ -73,11 +76,18 @@ def test_io_classes(io_flow):
     assert io[TreePosition(0, 1, ())] is IOKind.NEITHER   # atom position
 
 
-def test_orientation_one_directional_flow(io_flow):
+def test_roles_built_once_per_annotation(io_flow):
     annotation = annotate(io_flow.tree, io_flow.log)
+    assert "io" not in vars(annotation)
     graph = tree_dep_graph(io_flow.tree)
-    directed = orient(graph, io_classes(io_flow.tree, annotation))
-    arcs = directed.arcs
+    directional_slice(io_flow.tree, annotation, TreePosition(0, 1, (1,)), graph)
+    io = vars(annotation)["io"]
+    directional_slice(io_flow.tree, annotation, TreePosition(0, 1, (2,)), graph)
+    assert vars(annotation)["io"] is io
+
+
+def test_orientation_one_directional_flow(io_flow):
+    arcs = oriented_arcs(io_flow, annotate(io_flow.tree, io_flow.log))
     three = TreePosition(2, 0, (1,))   # 3 in r(3)
     x_at_r = TreePosition(1, 1, (1,))  # X in r(X)
     x_at_q = TreePosition(1, 2, (1,))  # X in q(X,Y)
@@ -88,17 +98,16 @@ def test_orientation_one_directional_flow(io_flow):
 
 
 def test_orient_all_dual_is_symmetric(io_flow):
-    graph = tree_dep_graph(io_flow.tree)
-    directed = orient(graph, io_classes(io_flow.tree, all_dual(io_flow.tree)))
-    assert all((b, a) in directed.arcs for a, b in directed.arcs)
+    arcs = oriented_arcs(io_flow, all_dual(io_flow.tree))
+    assert arcs
+    assert all((b, a) in arcs for a, b in arcs)
 
 
 def test_orient_arcs_cover_edges(io_flow):
-    annotation = annotate(io_flow.tree, io_flow.log)
-    graph = tree_dep_graph(io_flow.tree)
-    directed = orient(graph, io_classes(io_flow.tree, annotation))
-    pairs = {(e.a, e.b) for e in graph.edges}
-    for a, b in directed.arcs:
+    arcs = oriented_arcs(io_flow, annotate(io_flow.tree, io_flow.log))
+    pairs = {(e.a, e.b) for e in tree_dep_graph(io_flow.tree).edges}
+    assert arcs
+    for a, b in arcs:
         assert (a, b) in pairs or (b, a) in pairs
 
 
@@ -212,8 +221,7 @@ def test_ground_structured_argument_inherited():
 def test_directed_dot(io_flow):
     annotation = annotate(io_flow.tree, io_flow.log)
     graph = tree_dep_graph(io_flow.tree)
-    directed = orient(graph, io_classes(io_flow.tree, annotation))
-    dot = directed_to_dot(directed, io_flow.tree.pos_table, annotation)
+    dot = directed_to_dot(graph, io_flow.tree.pos_table, annotation)
     assert dot.startswith("digraph ")
     assert "dir=both" in dot
     assert "->" in dot

@@ -1,19 +1,21 @@
 """Differential test of ``DependencyGraph.reach``, the one slicing
-routine, against references built here from ``graph.edges``: a plain
-search over the arcs of ``orient`` for directional slices, and a
-union-find over the edges for undirected ones."""
+routine, and of the arcs of the directed DOT output, against
+references built here from ``graph.edges``: the input/output roles and
+the orientation of each edge, written out again, with a plain search
+over those arcs for directional slices, and a union-find over the
+edges for undirected ones."""
 
 import random
 import warnings
 
 from clpslice import (
+    DepEdgeKind,
     NoSolution,
     annotate,
     corpus_path,
     derive,
+    directed_to_dot,
     directional_slice,
-    io_classes,
-    orient,
     parse_goal,
     parse_program,
     program_dep_graph,
@@ -21,7 +23,9 @@ from clpslice import (
     tree_dep_graph,
     tree_slice,
 )
-from clpslice.directional import all_dual
+from clpslice.directional import Annot, all_dual
+from clpslice.syntax import HEAD_LITERAL
+from conftest import dot_arcs
 from genutil import random_program
 
 
@@ -33,6 +37,34 @@ def _cases():
                 yield program, parse_goal(line)
     for s in range(120):
         yield random_program(random.Random(s))
+
+
+def _roles(annotation):
+    """Input/output role of every annotated argument position: ground at
+    call is an input in a head and an output in a body (the goal clause
+    counts as body), ground at success the reverse."""
+    roles = {}
+    for pos, annot in annotation.positions.items():
+        if annot is Annot.DUAL or not pos.path:
+            continue
+        at_head = pos.literal == HEAD_LITERAL
+        if annot is Annot.INHERITED:
+            roles[pos] = "in" if at_head else "out"
+        else:
+            roles[pos] = "out" if at_head else "in"
+    return roles
+
+
+def orient(graph, roles):
+    """Both arcs of every edge, except that a transition edge never runs
+    input -> output and a local edge never output -> input."""
+    forbidden = {DepEdgeKind.TRANSITION: ("in", "out"), DepEdgeKind.LOCAL: ("out", "in")}
+    arcs = set()
+    for e in graph.edges:
+        for a, b in ((e.a, e.b), (e.b, e.a)):
+            if forbidden.get(e.kind) != (roles.get(a), roles.get(b)):
+                arcs.add((a, b))
+    return frozenset(arcs)
 
 
 def _backward_closure(arcs, alpha):
@@ -77,7 +109,9 @@ def test_reach_matches_orient_and_components():
                 tree = solution.tree
                 graph = tree_dep_graph(tree)
                 annotation = annotate(tree, solution.log)
-                arcs = orient(graph, io_classes(tree, annotation)).arcs
+                arcs = orient(graph, _roles(annotation))
+                dot = directed_to_dot(graph, tree.pos_table, annotation)
+                assert dot_arcs(dot) == arcs
                 component = _components(graph)
                 dual = all_dual(tree)
                 for alpha in tree.pos_table:
