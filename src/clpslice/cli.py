@@ -9,8 +9,10 @@ Two subcommands:
 * ``stats``: slice every executed argument position of each goal in a
   goal file and tabulate average slice sizes.
 
-Exit codes: 0 success, 1 usage or input error (including a term nested
-too deeply for Python's recursion limit), 2 no proof tree, 3 oracle
+Exit codes: 0 success, 1 usage or input error (including an oracle
+domain that holds no solution of the store, and input that exhausts
+Python's recursion limit, such as deeply nested parentheses in a
+constraint; term depth alone does not), 2 no proof tree, 3 oracle
 validation failure (with ``--oracle-domain``).
 """
 
@@ -46,7 +48,7 @@ from .engine import (
     phi_inverse,
     positions_to_store,
 )
-from .oracle import is_slice
+from .oracle import OracleDomainError, has_solution, is_slice
 from .parser import ClpSyntaxError, NonlinearityError, parse_goal, parse_program
 from .report import (
     SliceReport,
@@ -296,6 +298,9 @@ def _render_dot(args: argparse.Namespace, entry: _SolutionSlice) -> str:
 
 
 def _validate_slices(entries: list[_SolutionSlice], dom: tuple[int, int]) -> bool:
+    """Whether every slice keeps its criterion's solutions over the
+    domain.  A domain without any solution of a store can certify
+    nothing, so it is an input error rather than a failed check."""
     ok = True
     for entry in entries:
         tree = entry.solution.tree
@@ -304,6 +309,9 @@ def _validate_slices(entries: list[_SolutionSlice], dom: tuple[int, int]) -> boo
         if not isinstance(elem, Variable):
             warnings.warn("criterion is not a variable position; oracle check skipped")
             continue
+        if not has_solution(tree.store, dom):
+            raise OracleDomainError(
+                f"oracle domain {dom[0]}..{dom[1]} holds no solution of the store")
         subset = positions_to_store(tree, entry.tree_slice.positions)
         if not is_slice(tree.store, subset, elem.name, dom):
             ok = False
@@ -321,8 +329,9 @@ def _print_slice(program: Program, goal, entries, report: SliceReport) -> None:
     if entry is not None:
         tree = entry.solution.tree
         print("tree positions:")
+        texts: dict[int, str] = {}
         for pos in sorted(entry.tree_slice.positions):
-            print(f"  {pos.address}  {render_element(tree.element_at(pos))}")
+            print(f"  {pos.address}  {render_element(tree.element_at(pos), texts)}")
         store = origin_constraints(tree, entry.tree_slice.positions)
         print(f"store slice: {store}")
     if report.mode in ("dynamic", "position") and entry is not None:

@@ -37,6 +37,7 @@ from .syntax import (
     Term,
     TreePosition,
     Variable,
+    map_term,
     render_constraint,
     render_term,
     strip_tags_term,
@@ -184,17 +185,7 @@ class SolvedForm:
     def resolve_term(self, t: Term) -> Term:
         """Substitute certified values: Herbrand bindings, then pinned
         numeric pivots."""
-        if isinstance(t, Variable):
-            bound = self.herbrand_bindings.get(t.name)
-            if bound is not None:
-                return self.resolve_term(bound)
-            pivot = self.pivots.get(t.name)
-            if pivot is not None and pivot.is_constant:
-                return NumberLiteral(pivot.const)
-            return t
-        if isinstance(t, Compound):
-            return Compound(t.functor, tuple(self.resolve_term(a) for a in t.args))
-        return t
+        return _resolve(t, self.herbrand_bindings, self.pivots)
 
     def is_ground(self, t: Term) -> bool:
         return not vars_of_term(self.resolve_term(t))
@@ -257,11 +248,14 @@ def _walk(t: Term, subst: dict[str, Term]) -> Term:
 
 
 def _occurs(name: str, t: Term, subst: dict[str, Term]) -> bool:
-    t = _walk(t, subst)
-    if isinstance(t, Variable):
-        return t.name == name
-    if isinstance(t, Compound):
-        return any(_occurs(name, a, subst) for a in t.args)
+    stack = [t]
+    while stack:
+        t = _walk(stack.pop(), subst)
+        if isinstance(t, Variable):
+            if t.name == name:
+                return True
+        elif isinstance(t, Compound):
+            stack.extend(t.args)
     return False
 
 
@@ -301,10 +295,23 @@ def _unify_all(pairs: Iterable[tuple[Term, Term]]) -> dict[str, Term] | None:
 
 
 def _deep_resolve(t: Term, subst: dict[str, Term]) -> Term:
-    t = _walk(t, subst)
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(_deep_resolve(a, subst) for a in t.args))
-    return t
+    return map_term(t, lambda s: _walk(s, subst))
+
+
+def _resolve(t: Term, bindings: dict[str, Term], pivots: dict[str, LinExpr]) -> Term:
+    """``t`` under a triangular substitution, with every variable left
+    free but pinned to a constant by the pivots replaced by its value."""
+    def certified(s: Term) -> Term:
+        while isinstance(s, Variable) and s.name in bindings:
+            s = bindings[s.name]
+        if isinstance(s, Variable):
+            pivot = pivots.get(s.name)
+            if pivot is not None and pivot.is_constant:
+                return NumberLiteral(pivot.const)
+        return s
+
+    t = certified(t)
+    return map_term(t, certified) if isinstance(t, Compound) and t.args else t
 
 
 # ---------------------------------------------------------------------------
@@ -525,15 +532,7 @@ class SolvedState:
     def resolve_term(self, t: Term) -> Term:
         """Substitute certified values: Herbrand bindings, then pinned
         numeric pivots."""
-        t = _walk(t, self.bindings)
-        if isinstance(t, Variable):
-            pivot = self.pivots.get(t.name)
-            if pivot is not None and pivot.is_constant:
-                return NumberLiteral(pivot.const)
-            return t
-        if isinstance(t, Compound):
-            return Compound(t.functor, tuple(self.resolve_term(a) for a in t.args))
-        return t
+        return _resolve(t, self.bindings, self.pivots)
 
     def is_ground(self, t: Term) -> bool:
         return not vars_of_term(self.resolve_term(t))

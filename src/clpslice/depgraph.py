@@ -187,8 +187,8 @@ def _argument_cross_edges(
     """Transition edges: every pair of positions drawn from corresponding
     argument terms of two same-predicate atoms."""
     for i, (la, ra) in enumerate(zip(left.args, right.args), start=1):
-        lefts = [mk_left((i, *path)) for path, _ in term_subpositions(la)]
-        rights = [mk_right((i, *path)) for path, _ in term_subpositions(ra)]
+        lefts = [mk_left(path) for path, _ in term_subpositions(la, (i,))]
+        rights = [mk_right(path) for path, _ in term_subpositions(ra, (i,))]
         for x in lefts:
             for y in rights:
                 yield DepEdge.make(x, y, DepEdgeKind.TRANSITION)
@@ -314,8 +314,9 @@ def graph_to_dot(graph: DependencyGraph, elements: Mapping[Position, object],
     from .syntax import render_element
 
     lines = ["graph dependencies {", '  node [shape=box, fontname="monospace"];']
+    texts: dict[int, str] = {}
     for pos in sorted(graph.universe):
-        label = f"{pos.address}\\n{render_element(elements[pos])}"
+        label = f"{pos.address}\\n{render_element(elements[pos], texts)}"
         attrs = [f'label="{label}"']
         if criterion is not None and pos == criterion:
             attrs.append("style=filled")

@@ -122,8 +122,10 @@ def directed_to_dot(graph: DependencyGraph, elements: Mapping[TreePosition, obje
         if not _blocked(e.kind, kb, ka):
             arcs.add((e.b, e.a))
     lines = ["digraph directed_dependencies {", '  node [shape=box, fontname="monospace"];']
+    texts: dict[int, str] = {}
     for pos in sorted(graph.universe):
-        label = f"{pos.address}\\n{render_element(elements[pos])} {_ANNOT_SUFFIX[annotation.of(pos)]}"
+        label = (f"{pos.address}\\n{render_element(elements[pos], texts)} "
+                 f"{_ANNOT_SUFFIX[annotation.of(pos)]}")
         attrs = [f'label="{label}"']
         if criterion is not None and pos == criterion:
             attrs.extend(("style=filled", "fillcolor=gold"))

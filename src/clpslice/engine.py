@@ -63,9 +63,8 @@ from .syntax import (
     TreePosition,
     Variable,
     clause_positions,
+    ground_paths,
     rename_clause,
-    subterm_at,
-    term_subpositions,
     vars_of,
     vars_of_term,
 )
@@ -465,14 +464,10 @@ class _Derivation:
         ground = set()
         for i, (carg, harg) in enumerate(zip(atom.args, head.args), start=1):
             resolved = solved.resolve_term(carg)
-            for path, _sub in term_subpositions(carg):
-                inst = subterm_at(resolved, path)
-                if inst is not None and not vars_of_term(inst):
-                    ground.add(TreePosition(parent_idx, lit, (i, *path)))
-            for path, _sub in term_subpositions(harg):
-                inst = subterm_at(resolved, path)
-                if inst is not None and not vars_of_term(inst):
-                    ground.add(TreePosition(child_idx, HEAD_LITERAL, (i, *path)))
+            for path in ground_paths(carg, resolved, (i,)):
+                ground.add(TreePosition(parent_idx, lit, path))
+            for path in ground_paths(harg, resolved, (i,)):
+                ground.add(TreePosition(child_idx, HEAD_LITERAL, path))
         return frozenset(ground)
 
     def _constraint_ground(self, index: int, lit: int, expr: ConstraintExpr,
@@ -525,13 +520,12 @@ class _Derivation:
             atom = parent.label.body[node.parent_literal - 1]
             head = node.label.head
             assert isinstance(atom, Atom) and head is not None
+            # a subterm resolves to the subterm of its argument's resolution
             for i, (carg, harg) in enumerate(zip(atom.args, head.args), start=1):
-                for path, sub in term_subpositions(carg):
-                    if local.is_ground(sub):
-                        ground.add(TreePosition(node.parent, node.parent_literal, (i, *path)))
-                for path, sub in term_subpositions(harg):
-                    if local.is_ground(sub):
-                        ground.add(TreePosition(index, HEAD_LITERAL, (i, *path)))
+                for path in ground_paths(carg, local.resolve_term(carg), (i,)):
+                    ground.add(TreePosition(node.parent, node.parent_literal, path))
+                for path in ground_paths(harg, local.resolve_term(harg), (i,)):
+                    ground.add(TreePosition(index, HEAD_LITERAL, path))
         for lit, item in enumerate(node.label.body, start=1):
             if isinstance(item, ConstraintExpr):
                 for k, leaf in enumerate(item.occurrences(), start=1):

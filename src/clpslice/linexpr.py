@@ -87,28 +87,44 @@ def to_linear(t: Term) -> LinExpr:
     Raises NonlinearityError when two non-constant factors are multiplied,
     when a divisor is non-constant or zero, or when a non-arithmetic
     compound appears.
+
+    Post-order over an explicit stack: each operator combines the forms
+    of its operands, which wait on a value stack, left operand first.
     """
-    if isinstance(t, Variable):
-        return LinExpr.of_var(t.name)
-    if isinstance(t, NumberLiteral):
-        return LinExpr.of_const(t.value)
-    if isinstance(t, Compound) and t.functor in ARITH_OPS:
-        if t.functor == "-" and len(t.args) == 1:
-            return to_linear(t.args[0]).scale(Fraction(-1))
-        if len(t.args) != 2:
-            raise NonlinearityError(f"malformed arithmetic term: {t!r}")
-        a, b = (to_linear(arg) for arg in t.args)
-        if t.functor == "+":
-            return a + b
-        if t.functor == "-":
-            return a - b
-        if t.functor == "*":
-            if not a.is_constant and not b.is_constant:
-                raise NonlinearityError("product of two non-constant expressions")
-            return b.scale(a.const) if a.is_constant else a.scale(b.const)
-        if not b.is_constant:
-            raise NonlinearityError("division by a non-constant expression")
-        if not b.const:
-            raise NonlinearityError("division by zero")
-        return a.scale(Fraction(1) / b.const)
-    raise NonlinearityError(f"non-arithmetic term in constraint: {t!r}")
+    forms: list[LinExpr] = []
+    stack = [(t, False)]
+    while stack:
+        t, expanded = stack.pop()
+        if isinstance(t, Variable):
+            forms.append(LinExpr.of_var(t.name))
+        elif isinstance(t, NumberLiteral):
+            forms.append(LinExpr.of_const(t.value))
+        elif not (isinstance(t, Compound) and t.functor in ARITH_OPS):
+            raise NonlinearityError(f"non-arithmetic term in constraint: {t!r}")
+        elif not expanded:
+            if len(t.args) != 2 and not (t.functor == "-" and len(t.args) == 1):
+                raise NonlinearityError(f"malformed arithmetic term: {t!r}")
+            stack.append((t, True))
+            stack.extend([(a, False) for a in reversed(t.args)])
+        elif len(t.args) == 1:
+            forms.append(forms.pop().scale(Fraction(-1)))
+        else:
+            b = forms.pop()
+            forms.append(_combine(t.functor, forms.pop(), b))
+    return forms[0]
+
+
+def _combine(op: str, a: LinExpr, b: LinExpr) -> LinExpr:
+    if op == "+":
+        return a + b
+    if op == "-":
+        return a - b
+    if op == "*":
+        if not a.is_constant and not b.is_constant:
+            raise NonlinearityError("product of two non-constant expressions")
+        return b.scale(a.const) if a.is_constant else a.scale(b.const)
+    if not b.is_constant:
+        raise NonlinearityError("division by a non-constant expression")
+    if not b.const:
+        raise NonlinearityError("division by zero")
+    return a.scale(Fraction(1) / b.const)

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .constraints import ConstraintStore, NumericConstraint, constraint_linear
@@ -34,23 +33,19 @@ def _check_integral(store: ConstraintStore) -> None:
     """Numeric constraints evaluate exactly whatever their coefficients,
     but a term equation against a non-integer literal has no reading
     once every variable ranges over integers."""
-    def leaves(t: Term):
-        if isinstance(t, Compound):
-            for a in t.args:
-                yield from leaves(a)
-        else:
-            yield t
-
     for c in store:
         if isinstance(c, NumericConstraint):
             continue
-        for t in (c.lhs, c.rhs):
-            for leaf in leaves(t):
-                if isinstance(leaf, NumberLiteral) and leaf.value.denominator != 1:
-                    raise OracleDomainError(
-                        f"term equation mentions {leaf.value}, which no integer-valued "
-                        "term can equal"
-                    )
+        stack = [c.lhs, c.rhs]
+        while stack:
+            t = stack.pop()
+            if isinstance(t, Compound):
+                stack.extend(t.args)
+            elif isinstance(t, NumberLiteral) and t.value.denominator != 1:
+                raise OracleDomainError(
+                    f"term equation mentions {t.value}, which no integer-valued "
+                    "term can equal"
+                )
 
 
 def _decompose(store: ConstraintStore) -> list[tuple[LinExpr, str]] | None:
@@ -92,7 +87,19 @@ def _leaf_linear(t: Term) -> LinExpr:
     raise AssertionError("compound survived decomposition")
 
 
-def _holds(value: Fraction, rel: str) -> bool:
+#: A row ``sum(coeffs[v] * v) + const REL 0`` over the integers.
+Row = tuple[dict[str, int], int, str]
+
+
+def _integral(row: LinExpr, rel: str) -> Row:
+    """The row times the least common multiple of its denominators.
+    The multiplier is positive, so the relation keeps its direction."""
+    m = math.lcm(row.const.denominator, *(c.denominator for c in row.coeffs.values()))
+    coeffs = {v: c.numerator * (m // c.denominator) for v, c in row.coeffs.items()}
+    return coeffs, row.const.numerator * (m // row.const.denominator), rel
+
+
+def _holds(value: int, rel: str) -> bool:
     if rel == "=":
         return value == 0
     if rel == "<":
@@ -100,65 +107,55 @@ def _holds(value: Fraction, rel: str) -> bool:
     return value <= 0
 
 
-def _search(rows: list[tuple[LinExpr, str]], variables: list[str],
-            dom: Domain, assignment: dict[str, Fraction]) -> bool:
+def _search(rows: list[Row], variables: list[str], dom: Domain,
+            assignment: dict[str, int]) -> bool:
     """Depth-first search for one integer witness, propagating through
-    rows whose remaining support is a single variable."""
+    rows whose remaining support is a single variable.  All arithmetic
+    is on ints: bounds are exact floors and ceilings of quotients."""
     lo, hi = dom
     unassigned = [v for v in variables if v not in assignment]
     # rows fully determined by the assignment must hold
-    pending: list[tuple[LinExpr, str]] = []
-    for row, rel in rows:
-        free = [v for v in row.coeffs if v not in assignment]
-        if not free:
-            if not _holds(row.evaluate(assignment), rel):
+    pending: list[Row] = []
+    for row in rows:
+        coeffs, const, rel = row
+        if all(v in assignment for v in coeffs):
+            if not _holds(const + sum(c * assignment[v] for v, c in coeffs.items()), rel):
                 return False
         else:
-            pending.append((row, rel))
+            pending.append(row)
     if not unassigned:
         return True
 
     # choose the variable with the tightest unit row, equalities first
-    def unit_rows(v: str):
-        return [
-            (row, rel)
-            for row, rel in pending
-            if [u for u in row.coeffs if u not in assignment] == [v]
-        ]
+    def unit_rows(v: str) -> list[Row]:
+        return [row for row in pending if [u for u in row[0] if u not in assignment] == [v]]
 
     var = None
-    var_units: list[tuple[LinExpr, str]] = []
+    var_units: list[Row] = []
     for v in unassigned:
         units = unit_rows(v)
-        if any(rel == "=" for _, rel in units):
+        if any(rel == "=" for _, _, rel in units):
             var, var_units = v, units
             break
         if var is None or (units and not var_units):
             var, var_units = v, units
     assert var is not None
 
-    lo_f, hi_f = Fraction(lo), Fraction(hi)
-    forced: set[Fraction] | None = None
-    for row, rel in var_units:
-        coef = row.coeffs[var]
-        rest = Fraction(row.const)
-        for u, c in row.coeffs.items():
-            if u != var:
-                rest += c * assignment[u]
-        bound = -rest / coef
+    # coef*var + rest REL 0 bounds var by -rest/coef
+    forced: set[int] | None = None
+    for coeffs, const, rel in var_units:
+        coef = coeffs[var]
+        rest = const + sum(c * assignment[u] for u, c in coeffs.items() if u != var)
+        exact = rest % coef == 0
         if rel == "=":
-            forced = {bound} if forced is None else forced & {bound}
-        elif coef > 0:  # coef*var + rest <= 0  ->  var <= bound
-            hi_f = min(hi_f, bound - 1 if rel == "<" and bound.denominator == 1 else bound)
-        else:
-            lo_f = max(lo_f, bound + 1 if rel == "<" and bound.denominator == 1 else bound)
+            value = {-rest // coef} if exact else set()
+            forced = value if forced is None else forced & value
+        elif coef > 0:  # var <= -rest/coef, or < when strict
+            hi = min(hi, -rest // coef - (rel == "<" and exact))
+        else:  # var >= -rest/coef, or > when strict
+            lo = max(lo, -(rest // coef) + (rel == "<" and exact))
 
-    if forced is not None:
-        candidates = [v for v in forced if v.denominator == 1 and lo_f <= v <= hi_f]
-    else:
-        start = max(lo, math.ceil(lo_f))
-        stop = min(hi, math.floor(hi_f))
-        candidates = [Fraction(v) for v in range(start, stop + 1)]
+    candidates = range(lo, hi + 1) if forced is None else [v for v in forced if lo <= v <= hi]
     for value in candidates:
         assignment[var] = value
         if _search(rows, variables, dom, assignment):
@@ -168,19 +165,33 @@ def _search(rows: list[tuple[LinExpr, str]], variables: list[str],
     return False
 
 
-def sol_finite(store: ConstraintStore, x: str, dom: Domain) -> SolutionSet:
-    """Exact Sol(x, store) with every variable ranging over dom."""
+def _integer_rows(store: ConstraintStore, dom: Domain) -> list[Row] | None:
+    """The store's decomposed rows scaled to integers, or None when its
+    term equations cannot hold over integers."""
     if dom[0] > dom[1]:
         raise OracleDomainError(f"empty domain {dom}")
     _check_integral(store)
     rows = _decompose(store)
+    return None if rows is None else [_integral(row, rel) for row, rel in rows]
+
+
+def sol_finite(store: ConstraintStore, x: str, dom: Domain) -> SolutionSet:
+    """Exact Sol(x, store) with every variable ranging over dom."""
+    rows = _integer_rows(store, dom)
     values: set[int] = set()
     if rows is not None:
         variables = sorted(store.vars | {x})
         for v in range(dom[0], dom[1] + 1):
-            if _search(rows, variables, dom, {x: Fraction(v)}):
+            if _search(rows, variables, dom, {x: v}):
                 values.add(v)
     return SolutionSet(x, frozenset(values))
+
+
+def has_solution(store: ConstraintStore, dom: Domain) -> bool:
+    """Does some point of the box, every variable ranging over dom,
+    satisfy the store?  One search, stopping at the first witness."""
+    rows = _integer_rows(store, dom)
+    return rows is not None and _search(rows, sorted(store.vars), dom, {})
 
 
 def is_slice(store: ConstraintStore, subset: ConstraintStore, x: str, dom: Domain) -> bool:

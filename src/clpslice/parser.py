@@ -196,23 +196,34 @@ class _Parser:
         return Atom(name, args)
 
     def term(self) -> Term:
-        tok = self.cur
-        if tok.kind == "var":
-            self.advance()
-            return self._variable(tok.text)
-        if tok.kind == "int" or self.at("-"):
-            return self._number()
-        if tok.kind == "name":
-            self.advance()
-            if self.take("("):
-                args = [self.term()]
-                while self.take(","):
-                    args.append(self.term())
+        # the compounds still open, innermost last, each with its
+        # arguments parsed so far: no recursion per nesting level
+        open_: list[tuple[str, list[Term]]] = []
+        while True:
+            tok = self.cur
+            if tok.kind == "var":
+                self.advance()
+                t: Term = self._variable(tok.text)
+            elif tok.kind == "int" or self.at("-"):
+                t = self._number()
+            elif tok.kind == "name":
+                self.advance()
+                if self.take("("):
+                    open_.append((tok.text, []))
+                    continue
+                t = Compound(tok.text)
+            else:
+                self.fail("expected a term")
+            while open_:
+                functor, args = open_[-1]
+                args.append(t)
+                if self.take(","):
+                    break
                 self.expect(")")
-                return Compound(tok.text, tuple(args))
-            return Compound(tok.text)
-        self.fail("expected a term")
-        raise AssertionError  # unreachable
+                open_.pop()
+                t = Compound(functor, tuple(args))
+            else:
+                return t
 
     def _variable(self, name: str) -> Variable:
         if name == "_":

@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, repeat
+from itertools import count
+from operator import is_not
 from typing import Callable, Iterator, Union
 
 #: Pseudo clause index used for goal positions, rendered as "g".
@@ -69,6 +70,50 @@ class Compound:
     functor: str
     args: tuple[Term, ...] = ()
 
+    def __hash__(self) -> int:
+        """The dataclass hash, ``hash((functor, args))``, kept on each
+        compound once computed.  Compounds not hashed yet are hashed
+        children first, so hashing an argument tuple finds every compound
+        argument's hash kept and no call nests deeper than one level."""
+        cached = self.__dict__.get("_hash")
+        if cached is not None:
+            return cached
+        order = []
+        stack = [self]
+        while stack:
+            t = stack.pop()
+            order.append(t)
+            stack.extend([a for a in t.args
+                          if a.__class__ is Compound and "_hash" not in a.__dict__])
+        # reversed pre-order: every compound after the arguments it pushed
+        for t in reversed(order):
+            object.__setattr__(t, "_hash", hash((t.functor, t.args)))
+        return self.__dict__["_hash"]
+
+    def __getstate__(self) -> dict:
+        # string hashes differ between processes: pickle no kept hash
+        return {"functor": self.functor, "args": self.args}
+
+    def __eq__(self, other: object) -> bool:
+        """The dataclass equality, compared pair by pair off a stack."""
+        if other.__class__ is not Compound:
+            return NotImplemented
+        pairs = [(self, other)]
+        while pairs:
+            a, b = pairs.pop()
+            if a is b:
+                continue
+            if a.__class__ is not b.__class__:
+                return False
+            if a.__class__ is not Compound:
+                if a != b:
+                    return False
+            elif a.functor != b.functor or len(a.args) != len(b.args):
+                return False
+            else:
+                pairs.extend(zip(a.args, b.args))
+        return True
+
     def __str__(self) -> str:
         return render_term(self)
 
@@ -110,16 +155,13 @@ class ConstraintExpr:
 
     def occurrences(self) -> tuple[Term, ...]:
         out: list[Term] = []
-
-        def walk(t: Term) -> None:
+        stack = [self.rhs, self.lhs]
+        while stack:
+            t = stack.pop()
             if isinstance(t, Compound) and t.functor in ARITH_OPS and t.args:
-                for a in t.args:
-                    walk(a)
+                stack.extend(reversed(t.args))
             else:
                 out.append(t)
-
-        walk(self.lhs)
-        walk(self.rhs)
         return tuple(out)
 
     def __str__(self) -> str:
@@ -183,7 +225,7 @@ class TreePosition:
 
 def _format_address(first: str, literal: int, path: tuple[int, ...]) -> str:
     if path:
-        return f"{first}/{literal}/" + ".".join(str(i) for i in path)
+        return f"{first}/{literal}/" + ".".join(map(str, path))
     return f"{first}/{literal}"
 
 
@@ -222,23 +264,60 @@ def parse_tree_address(text: str) -> TreePosition:
 
 # ---------------------------------------------------------------------------
 # Position enumeration
+#
+# Terms may nest deeper than Python's recursion limit, so every walker
+# below keeps an explicit stack and visits each subterm once.
 
-def term_subpositions(t: Term) -> Iterator[tuple[tuple[int, ...], Term]]:
-    """Yield ``(path, subterm)`` for every subterm of ``t``, pre-order."""
-    yield (), t
-    if isinstance(t, Compound):
-        for i, arg in enumerate(t.args, start=1):
-            for path, sub in term_subpositions(arg):
-                yield (i, *path), sub
+def term_subpositions(t: Term, prefix: tuple[int, ...] = ()
+                      ) -> Iterator[tuple[tuple[int, ...], Term]]:
+    """Yield ``(prefix + path, subterm)`` for every subterm of ``t``,
+    pre-order."""
+    yield prefix, t
+    if not (isinstance(t, Compound) and t.args):
+        return
+    stack = [((*prefix, i), t.args[i - 1]) for i in range(len(t.args), 0, -1)]
+    while stack:
+        path, t = stack.pop()
+        yield path, t
+        if isinstance(t, Compound) and t.args:
+            stack.extend([((*path, i), t.args[i - 1]) for i in range(len(t.args), 0, -1)])
 
 
-def subterm_at(t: Term, path: tuple[int, ...]) -> Term | None:
-    """The subterm of ``t`` at ``path``, or None if the path does not exist."""
-    for i in path:
-        if not isinstance(t, Compound) or not 1 <= i <= len(t.args):
-            return None
-        t = t.args[i - 1]
-    return t
+def ground_paths(pattern: Term, value: Term, prefix: tuple[int, ...] = ()
+                 ) -> list[tuple[int, ...]]:
+    """The paths of ``pattern`` (after ``prefix``) at which ``value`` has
+    a variable-free subterm.
+
+    One post-order pass flags the variable-free subterms of ``value`` by
+    identity, so shared subterms are judged once; then ``pattern`` is
+    walked along ``value``, down the paths the two have in common.
+    """
+    if not (isinstance(value, Compound) and value.args):
+        return [] if isinstance(value, Variable) else [prefix]
+    if not (isinstance(pattern, Compound) and pattern.args):
+        return [] if vars_of_term(value) else [prefix]
+    ground: dict[int, bool] = {}
+    pending: list[tuple[Term, bool]] = [(value, False)]
+    while pending:
+        t, expanded = pending.pop()
+        if expanded:
+            ground[id(t)] = all([ground[id(a)] for a in t.args])
+        elif id(t) not in ground:
+            if isinstance(t, Compound) and t.args:
+                pending.append((t, True))
+                pending.extend([(a, False) for a in t.args])
+            else:
+                ground[id(t)] = not isinstance(t, Variable)
+    out = []
+    stack = [(prefix, pattern, value)]
+    while stack:
+        path, p, v = stack.pop()
+        if ground[id(v)]:
+            out.append(path)
+        if isinstance(p, Compound) and isinstance(v, Compound):
+            stack.extend([((*path, i), pa, va)
+                          for i, (pa, va) in enumerate(zip(p.args, v.args), start=1)])
+    return out
 
 
 def item_positions(item: BodyItem) -> Iterator[tuple[tuple[int, ...], object]]:
@@ -247,8 +326,7 @@ def item_positions(item: BodyItem) -> Iterator[tuple[tuple[int, ...], object]]:
     yield (), item
     if isinstance(item, Atom):
         for i, arg in enumerate(item.args, start=1):
-            for path, sub in term_subpositions(arg):
-                yield (i, *path), sub
+            yield from term_subpositions(arg, (i,))
     else:
         for k, leaf in enumerate(item.occurrences(), start=1):
             yield (k,), leaf
@@ -324,12 +402,45 @@ def position_of(program: Program, addr: str) -> ProgramPosition:
 def vars_of_term(t: Term) -> frozenset[str]:
     if isinstance(t, Variable):
         return frozenset((t.name,))
-    if isinstance(t, Compound):
-        out: frozenset[str] = frozenset()
-        for a in t.args:
-            out |= vars_of_term(a)
-        return out
-    return frozenset()
+    if not isinstance(t, Compound):
+        return frozenset()
+    out: set[str] = set()
+    stack = [t]
+    while stack:
+        t = stack.pop()
+        if isinstance(t, Variable):
+            out.add(t.name)
+        elif isinstance(t, Compound):
+            stack.extend(t.args)
+    return frozenset(out)
+
+
+def map_term(t: Term, visit: Callable[[Term], Term]) -> Term:
+    """Rebuild ``t`` top-down: each subterm ``s`` becomes ``visit(s)``,
+    and a compound result has its arguments rebuilt the same way.  A
+    compound whose arguments all come back unchanged is kept, not
+    copied."""
+    t = visit(t)
+    if not (isinstance(t, Compound) and t.args):
+        return t
+    # open compounds, each with the arguments rebuilt so far
+    stack: list[tuple[Compound, list[Term]]] = [(t, [])]
+    while True:
+        node, done = stack[-1]
+        args = node.args
+        while len(done) < len(args):
+            sub = visit(args[len(done)])
+            if isinstance(sub, Compound) and sub.args:
+                stack.append((sub, []))
+                break
+            done.append(sub)
+        else:
+            stack.pop()
+            if any(map(is_not, done, args)):
+                node = Compound(node.functor, tuple(done))
+            if not stack:
+                return node
+            stack[-1][1].append(node)
 
 
 def vars_of(obj: object) -> frozenset[str]:
@@ -354,11 +465,8 @@ def vars_of(obj: object) -> frozenset[str]:
 
 
 def rename_term(t: Term, mapping: dict[str, str]) -> Term:
-    if isinstance(t, Variable):
-        return Variable(mapping.get(t.name, t.name))
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(rename_term(a, mapping) for a in t.args))
-    return t
+    return map_term(t, lambda s: Variable(mapping.get(s.name, s.name))
+                    if isinstance(s, Variable) else s)
 
 
 def rename_clause(clause: Clause, tag: int) -> Clause:
@@ -386,11 +494,7 @@ def strip_tag(name: str) -> str:
 
 
 def strip_tags_term(t: Term) -> Term:
-    if isinstance(t, Variable):
-        return Variable(strip_tag(t.name))
-    if isinstance(t, Compound):
-        return Compound(t.functor, tuple(strip_tags_term(a) for a in t.args))
-    return t
+    return map_term(t, lambda s: Variable(strip_tag(s.name)) if isinstance(s, Variable) else s)
 
 
 # ---------------------------------------------------------------------------
@@ -403,30 +507,56 @@ Mark = Callable[[int, tuple[int, ...], str], str]
 
 
 def render_term(t: Term, mark: Mark | None = None, literal: int = HEAD_LITERAL,
-                path: tuple[int, ...] = ()) -> str:
+                path: tuple[int, ...] = (), texts: dict[int, str] | None = None) -> str:
     """Render a term found at ``path`` of ``literal``.  Constraint
     arithmetic is rendered infix and never marked: its positions are
-    occurrences, marked through ``render_constraint``."""
-    if isinstance(t, Compound) and t.functor in ARITH_OPS and t.args:
-        return _render_arith(t, 0)
-    if isinstance(t, Variable):
-        s = t.name
-    elif isinstance(t, NumberLiteral):
-        s = str(t.value)
-    elif isinstance(t, Compound) and t.args:
-        # map, not a generator expression: one frame less per nesting
-        # level, and unmarked calls build no paths and no closure cells
-        if mark is None:
-            args = map(render_term, t.args)
+    occurrences, marked through ``render_constraint``.
+
+    Post-order, one pass: each subterm's text is built once, from its
+    arguments' texts, which wait on a stack for their compound.
+    ``texts``, for unmarked calls, keeps the text of every compound by
+    identity across calls: a caller rendering many subterms of one term
+    passes one dict, and a compound already in it is not walked again.
+    """
+    out: list[str] = []
+    stack = [(t, path, False)]
+    while stack:
+        t, path, expanded = stack.pop()
+        if isinstance(t, Compound) and t.args:
+            if t.functor in ARITH_OPS:
+                out.append(_render_arith(t, 0))
+                continue
+            if texts is not None and id(t) in texts:
+                out.append(texts[id(t)])
+                continue
+            n = len(t.args)
+            if not expanded:
+                stack.append((t, path, True))
+                # unmarked calls build no paths
+                if mark is None:
+                    stack.extend([(a, path, False) for a in reversed(t.args)])
+                else:
+                    stack.extend([(t.args[i - 1], (*path, i), False) for i in range(n, 0, -1)])
+                continue
+            s = f"{t.functor}({', '.join(out[-n:])})"
+            del out[-n:]
+            if texts is not None:
+                texts[id(t)] = s
         else:
-            paths = [(*path, i) for i in range(1, len(t.args) + 1)]
-            args = map(render_term, t.args, repeat(mark), repeat(literal), paths)
-        s = f"{t.functor}({', '.join(args)})"
-    elif isinstance(t, Compound):
-        s = t.functor
-    else:
-        raise TypeError(f"not a term: {t!r}")
-    return s if mark is None else mark(literal, path, s)
+            s = _leaf_text(t)
+        out.append(s if mark is None else mark(literal, path, s))
+    return out[0]
+
+
+def _leaf_text(t: Term) -> str:
+    """The text of a variable, a number or an argument-less compound."""
+    if isinstance(t, Variable):
+        return t.name
+    if isinstance(t, NumberLiteral):
+        return str(t.value)
+    if isinstance(t, Compound):
+        return t.functor
+    raise TypeError(f"not a term: {t!r}")
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
@@ -434,24 +564,35 @@ _PREC = {"+": 1, "-": 1, "*": 2, "/": 2}
 
 def _render_arith(t: Term, prec: int, leaf: Callable[[str], str] | None = None) -> str:
     """Infix rendering; ``leaf``, if given, rewrites each variable or
-    constant occurrence's text, left to right."""
-    if isinstance(t, Compound) and t.functor in ARITH_OPS and len(t.args) == 2:
-        p = _PREC[t.functor]
-        left = _render_arith(t.args[0], p, leaf)
-        right = _render_arith(t.args[1], p + 1, leaf)
-        if right.startswith("-"):
-            right = f"({right})"
-        s = f"{left}{t.functor}{right}"
-        return f"({s})" if p < prec else s
-    if isinstance(t, Compound) and t.functor == "-" and len(t.args) == 1:
-        inner = _render_arith(t.args[0], 3, leaf)
-        return f"-{inner}"
-    if isinstance(t, Compound) and t.functor in ARITH_OPS:
-        raise ValueError(f"malformed arithmetic term {t!r}")
-    s = render_term(t)
-    if prec >= 2 and s.startswith("-"):
-        s = f"({s})"
-    return s if leaf is None else leaf(s)
+    constant occurrence's text, left to right.  Post-order like
+    ``render_term``; ``prec`` is the precedence the context demands."""
+    texts: list[str] = []
+    stack = [(t, prec, False)]
+    while stack:
+        t, prec, expanded = stack.pop()
+        if isinstance(t, Compound) and t.functor in ARITH_OPS and len(t.args) == 2:
+            p = _PREC[t.functor]
+            if not expanded:
+                stack += [(t, prec, True), (t.args[1], p + 1, False), (t.args[0], p, False)]
+                continue
+            right = texts.pop()
+            if right.startswith("-"):
+                right = f"({right})"
+            s = f"{texts.pop()}{t.functor}{right}"
+            texts.append(f"({s})" if p < prec else s)
+        elif isinstance(t, Compound) and t.functor == "-" and len(t.args) == 1:
+            if not expanded:
+                stack += [(t, prec, True), (t.args[0], 3, False)]
+                continue
+            texts.append(f"-{texts.pop()}")
+        elif isinstance(t, Compound) and t.functor in ARITH_OPS:
+            raise ValueError(f"malformed arithmetic term {t!r}")
+        else:
+            s = render_term(t)
+            if prec >= 2 and s.startswith("-"):
+                s = f"({s})"
+            texts.append(s if leaf is None else leaf(s))
+    return texts[0]
 
 
 def render_atom(a: Atom, mark: Mark | None = None, literal: int = HEAD_LITERAL) -> str:
@@ -492,10 +633,11 @@ def render_program(program: Program) -> str:
     return "\n".join(render_clause(c) for c in program.clauses) + ("\n" if program.clauses else "")
 
 
-def render_element(elem: object) -> str:
-    """Render whatever a position table stores: atom, constraint, or term."""
+def render_element(elem: object, texts: dict[int, str] | None = None) -> str:
+    """Render whatever a position table stores: atom, constraint, or
+    term; ``texts`` as for ``render_term``."""
     if isinstance(elem, Atom):
         return render_atom(elem)
     if isinstance(elem, ConstraintExpr):
         return render_constraint(elem)
-    return render_term(elem)  # type: ignore[arg-type]
+    return render_term(elem, texts=texts)  # type: ignore[arg-type]

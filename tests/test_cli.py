@@ -147,6 +147,27 @@ def test_exit_code_oracle_failure(capsys, monkeypatch):
     assert "FAILED" in err
 
 
+def test_oracle_domain_without_solution_is_an_input_error(capsys):
+    # Z = 42 lies outside -3..3: the domain can certify no slice
+    code, _, err = run(capsys, "slice", CHAIN, "--goal", "p(X, Y, Z).",
+                       "--at", "0/1/1", "--oracle-domain=-3..3")
+    assert code == 1
+    assert "clpslice: oracle domain -3..3 holds no solution of the store" in err
+    assert "FAILED" not in err
+
+
+def test_wrong_slice_fails_the_oracle(capsys, monkeypatch):
+    # an empty slice of X leaves X unconstrained, which the store is not
+    import clpslice.cli as cli_module
+    from clpslice import ConstraintStore
+
+    monkeypatch.setattr(cli_module, "positions_to_store", lambda tree, positions: ConstraintStore())
+    code, _, err = run(capsys, "slice", CHAIN, "--goal", "p(X, Y, Z).",
+                       "--at", "0/1/1", "--oracle-domain=-50..50")
+    assert code == 3
+    assert "clpslice: oracle validation FAILED" in err
+
+
 def test_all_solutions_union(capsys):
     program = str(corpus_path("family.clp"))
     code, out, _ = run(capsys, "slice", program, "--goal", "grand(X, Z).",
@@ -179,13 +200,34 @@ def peano(n: int) -> str:
     return "s(" * n + "z" + ")" * n
 
 
-def test_stats_recursion_limit_fails_one_goal(tmp_path, capsys):
+# A goal whose constraint nests parentheses 100 deep: parsing it takes
+# about four frames per level, fine under the default recursion limit
+# and a real RecursionError under RECURSION_LIMIT.
+NESTED = "{Z = " + "(" * 100 + "3" + ")" * 100 + "}."
+RECURSION_LIMIT = 150
+
+
+def cli_process(tmp_path, *argv: str, recursion_limit: int | None = None
+                ) -> subprocess.CompletedProcess:
+    """The command line in a fresh process, so the interpreter's own
+    stack depth applies and an escaping RecursionError would print its
+    traceback; optionally under a lowered recursion limit."""
+    src = os.path.dirname(os.path.dirname(clpslice.__file__))
+    limit = "" if recursion_limit is None else f"sys.setrecursionlimit({recursion_limit})\n"
+    code = f"import sys\nfrom clpslice.cli import main\n{limit}sys.exit(main(sys.argv[1:]))\n"
+    return subprocess.run([sys.executable, "-c", code, *argv], cwd=tmp_path,
+                          capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src})
+
+
+def test_stats_recursion_limit_fails_one_goal(tmp_path):
     program = tmp_path / "peano.clp"
     program.write_text(PEANO)
     goals = tmp_path / "goals.txt"
-    goals.write_text(f"add(z, {peano(3)}, Z).\nadd(z, {peano(600)}, Z).\nadd({peano(4)}, z, Z).\n")
+    goals.write_text(f"add(z, {peano(3)}, Z).\n{NESTED}\nadd({peano(4)}, z, Z).\n")
     out_file = tmp_path / "stats.json"
-    code, out, _ = run(capsys, "stats", str(program), str(goals), "--json", str(out_file))
+    proc = cli_process(tmp_path, "stats", str(program), str(goals), "--json", str(out_file),
+                       recursion_limit=RECURSION_LIMIT)
+    code, out = proc.returncode, proc.stdout
     assert code == 0
     rows = json.loads(out_file.read_text())["rows"]
     assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
@@ -194,24 +236,29 @@ def test_stats_recursion_limit_fails_one_goal(tmp_path, capsys):
 
 
 def slice_peano_term(tmp_path, depth: int) -> subprocess.CompletedProcess:
-    """``slice`` of a goal with a depth-deep Peano numeral, in a fresh
-    process, so the interpreter's own stack depth applies and an escaping
-    RecursionError would print its traceback."""
+    """``slice`` of a goal with a depth-deep Peano numeral."""
     program = tmp_path / "peano.clp"
     program.write_text(PEANO)
-    src = os.path.dirname(os.path.dirname(clpslice.__file__))
-    return subprocess.run(
-        [sys.executable, "-m", "clpslice.cli", "slice", str(program),
-         "--goal", f"add(z, {peano(depth)}, Z).", "--at", "0/1/3"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src},
-    )
+    return cli_process(tmp_path, "slice", str(program),
+                       "--goal", f"add(z, {peano(depth)}, Z).", "--at", "0/1/3")
 
 
 def test_slice_recursion_limit_is_a_usage_error(tmp_path):
-    proc = slice_peano_term(tmp_path, 600)
+    program = tmp_path / "peano.clp"
+    program.write_text(PEANO)
+    proc = cli_process(tmp_path, "slice", str(program), "--goal", NESTED, "--at", "0/1/1",
+                       recursion_limit=RECURSION_LIMIT)
     assert proc.returncode == 1
     assert "clpslice: recursion limit exceeded" in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_nested_goal_runs_under_the_default_limit(tmp_path):
+    # the recursion-limit tests above fail for the lowered limit alone
+    program = tmp_path / "peano.clp"
+    program.write_text(PEANO)
+    proc = cli_process(tmp_path, "slice", str(program), "--goal", NESTED, "--at", "0/1/1")
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_slice_300_deep_term(tmp_path):
@@ -220,6 +267,26 @@ def test_slice_300_deep_term(tmp_path):
     proc = slice_peano_term(tmp_path, 300)
     assert proc.returncode == 0, proc.stderr
     assert "tree: 2 nodes, 6 argument positions" in proc.stdout
+
+
+def test_slice_600_deep_term(tmp_path):
+    # no walker recurses on term depth, so twice that depth slices too
+    proc = slice_peano_term(tmp_path, 600)
+    assert proc.returncode == 0, proc.stderr
+    assert "tree: 2 nodes, 6 argument positions" in proc.stdout
+    assert f"  0/1/2  {peano(600)}" in proc.stdout
+
+
+def test_stats_600_deep_term(tmp_path, capsys):
+    program = tmp_path / "peano.clp"
+    program.write_text(PEANO)
+    goals = tmp_path / "goals.txt"
+    goals.write_text(f"add(z, {peano(600)}, Z).\n")
+    out_file = tmp_path / "stats.json"
+    code, _, _ = run(capsys, "stats", str(program), str(goals), "--json", str(out_file))
+    assert code == 0
+    rows = json.loads(out_file.read_text())["rows"]
+    assert [(r["status"], r["tree_nodes"], r["tree_argpos"]) for r in rows] == [("ok", 2, 6)]
 
 
 def test_slice_fib_10(capsys):

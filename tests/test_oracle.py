@@ -9,15 +9,18 @@ from clpslice import (
     Compound,
     ConstraintStore,
     NumberLiteral,
+    NumericConstraint,
     TermEquation,
     Variable,
     is_slice,
     minimal_slices,
     sol_finite,
 )
-from clpslice.oracle import OracleDomainError
+from clpslice.oracle import OracleDomainError, has_solution
+from clpslice.syntax import ConstraintExpr
 from conftest import store_of
-from genutil import random_store
+from genutil import random_satisfiable_store, random_store
+import oracle_reference
 
 
 def test_sol_finite_examples():
@@ -57,6 +60,56 @@ def test_sol_finite_fractional_values():
             ConstraintStore([TermEquation(Variable("X"), NumberLiteral(Fraction(1, 2)))]),
             "X", (-3, 3),
         )
+
+
+COEFFICIENTS = tuple(Fraction(n, d) for n, d in ((1, 1), (-1, 1), (2, 1), (1, 2), (-3, 4),
+                                                 (5, 3), (-7, 2)))
+
+
+def random_fractional_store(rng: random.Random) -> ConstraintStore:
+    """Rows with rational coefficients and right-hand sides, strict and
+    non-strict, in both directions."""
+    variables = ["A", "B", "C", "D"][: rng.randint(1, 4)]
+    constraints = []
+    for _ in range(rng.randint(1, 5)):
+        expr = None
+        for v in rng.sample(variables, rng.randint(1, len(variables))):
+            part = Compound("*", (NumberLiteral(rng.choice(COEFFICIENTS)), Variable(v)))
+            expr = part if expr is None else Compound("+", (expr, part))
+        rhs = NumberLiteral(Fraction(rng.randint(-9, 9), rng.choice((1, 1, 2, 3, 4))))
+        relation = rng.choice(("=", "<", "<=", ">", ">="))
+        constraints.append(NumericConstraint(ConstraintExpr(relation, expr, rhs)))
+    return ConstraintStore(constraints)
+
+
+ORACLE_CASES = [
+    (store_of("{X+1=0, Y>X}."), (-10, 10)),
+    (ConstraintStore(), (0, 2)),
+    (store_of("{X=1, X=2}."), (0, 3)),
+    (ConstraintStore([TermEquation(Variable("X"), NumberLiteral(Fraction(2))),
+                      TermEquation(Variable("X"), Variable("Y"))]), (-3, 3)),
+    (ConstraintStore([TermEquation(Variable("X"), Compound("f", (Variable("Y"),)))]), (-3, 3)),
+    (store_of("{X = 1/2}."), (-3, 3)),
+    (store_of("{2 * X = 3}."), (-3, 3)),
+    (store_of("{X = 9/5 * Y + 32, Y = 5}."), (0, 50)),
+    (store_of("{A=1, A=B, B<=C, C<=3, A>=D, D=2, C>=E}."), (-5, 5)),
+]
+
+
+def test_integer_search_matches_fraction_search():
+    # the oracle scales each row to integers; the reference searches
+    # the same rows with Fractions
+    rng = random.Random(2024)
+    stores = list(ORACLE_CASES)
+    for i in range(90):
+        gen = (random_store, random_fractional_store,
+               lambda r: random_satisfiable_store(r, (-4, 4)))[i % 3]
+        stores.append((gen(rng), (-4, 4)))
+    for store, dom in stores:
+        for x in sorted(store.vars | {"X"}):
+            want = oracle_reference.sol_finite(store, x, dom)
+            assert sol_finite(store, x, dom).values == want, (store, x)
+            assert has_solution(store, dom) == bool(want), store
 
 
 def test_is_slice_examples():
