@@ -273,10 +273,12 @@ def _cmd_slice(args: argparse.Namespace) -> int:
 
     if args.oracle_domain:
         dom = _parse_domain(args.oracle_domain)
-        if not _validate_slices(reports, dom):
+        verdict = _validate_slices(reports, dom)
+        if verdict is False:
             print("clpslice: oracle validation FAILED", file=sys.stderr)
             return EXIT_ORACLE
-        print(f"oracle validation over {dom[0]}..{dom[1]}: ok", file=sys.stderr)
+        outcome = "ok" if verdict else "skipped (criterion is not a variable position)"
+        print(f"oracle validation over {dom[0]}..{dom[1]}: {outcome}", file=sys.stderr)
     return EXIT_OK
 
 
@@ -297,11 +299,12 @@ def _render_dot(args: argparse.Namespace, entry: _SolutionSlice) -> str:
                            entry.tree_slice.positions, entry.tree_slice.criterion)
 
 
-def _validate_slices(entries: list[_SolutionSlice], dom: tuple[int, int]) -> bool:
+def _validate_slices(entries: list[_SolutionSlice], dom: tuple[int, int]) -> bool | None:
     """Whether every slice keeps its criterion's solutions over the
-    domain.  A domain without any solution of a store can certify
+    domain, or None when no criterion is a variable, so that no slice
+    was checked.  A domain without any solution of a store can certify
     nothing, so it is an input error rather than a failed check."""
-    ok = True
+    ok = None
     for entry in entries:
         tree = entry.solution.tree
         criterion = entry.tree_slice.criterion
@@ -315,6 +318,8 @@ def _validate_slices(entries: list[_SolutionSlice], dom: tuple[int, int]) -> boo
         subset = positions_to_store(tree, entry.tree_slice.positions)
         if not is_slice(tree.store, subset, elem.name, dom):
             ok = False
+        elif ok is None:
+            ok = True
     return ok
 
 

@@ -7,15 +7,19 @@ leftmost selection, textual clause order, and chronological backtracking,
 pruning any branch whose store goes unsatisfiable.
 
 The search is one loop over a stack of choice points, as in Warren's
-Abstract Machine, so no Python recursion limit caps a tree's size.  A
-call pushes one choice point per matching clause, holding the rest of
-the agenda, the caller's ``SolvedState`` (see ``constraints``) and the
-lengths of the node and event lists; resuming one cuts both lists back
-to those lengths.  The store is never re-solved from scratch: each
-agenda step extends the current state by what it adds, one body
-constraint for a post and the edge equations for a call, and
-extension never changes the state it starts from.  The largest satisfiable partial skeleton, kept for ``NoSolution``, is
-judged exactly without building its store: every attached node's
+Abstract Machine, so no Python recursion limit caps a tree's size.  Its
+state is an append-only list of immutable nodes, each linked to its
+parent and the call literal it answers, plus a list of events.  A call
+pushes one choice point per matching clause, holding the rest of the
+agenda, the caller's ``SolvedState`` (see ``constraints``) and the
+lengths of the node and event lists; resuming one only truncates both
+lists to those lengths.  A skeleton is built from the parent links,
+once per returned tree.  The store is never re-solved from scratch:
+each agenda step extends the current state by what it adds, one body
+constraint for a post and the edge equations for a call, and extension
+never changes the state it starts from.  The largest satisfiable
+partial skeleton, kept for ``NoSolution`` as a copy of the node list,
+is judged exactly without building its store: every attached node's
 clause constraint is either posted already or a pending ``post`` step
 of the agenda, so the current state extended by those pending
 constraints is the skeleton's whole constraint set.
@@ -36,13 +40,13 @@ drive directional slicing:
 Success groundness is judged against that subtree-local store rather
 than the global one so that a value pinned only by the interplay of
 caller and callee constraints is attributed to neither side.  The
-local state of a completed node is cached by node index and built by
-extending its first child's cached state.
+local state of a completed node is cached by node index, with the end
+of its subtree, and built by extending its first child's cached state.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .constraints import (
@@ -289,7 +293,7 @@ class Solution:
 # ---------------------------------------------------------------------------
 # SLD search
 
-@dataclass
+@dataclass(frozen=True)
 class _SearchNode:
     index: int
     clause: int
@@ -297,13 +301,19 @@ class _SearchNode:
     parent: int | None
     parent_literal: int | None
     depth: int
-    children: list[int | None] = field(default_factory=list)
     edge_eqs: tuple[TermEquation, ...] = ()
     call_pins: tuple[TermEquation, ...] = ()
 
-    def freeze(self) -> SkelNode:
-        return SkelNode(self.index, self.clause, self.label, self.parent,
-                        self.parent_literal, tuple(self.children))
+
+def _skeleton(nodes: list[_SearchNode]) -> Skeleton:
+    """The skeleton of a node list: each node's child slots, in
+    call-literal order, filled from its children's parent links, with
+    None where no child is attached."""
+    attached = {(n.parent, n.parent_literal): n.index for n in nodes[1:]}
+    return Skeleton(tuple(
+        SkelNode(n.index, n.clause, n.label, n.parent, n.parent_literal,
+                 tuple(attached.get((n.index, lit)) for lit in n.label.call_literals()))
+        for n in nodes))
 
 
 def derive(program: Program, goal: Clause, *, depth_limit: int = DEFAULT_DEPTH_LIMIT,
@@ -333,24 +343,23 @@ class _Derivation:
         self.nodes: list[_SearchNode] = []
         # constraint_linear per expression, for this run only
         self.linear: dict = {}
-        # subtree-local solved state per completed node index
-        self.local: dict[int, SolvedState] = {}
+        # per node index: the subtree-local solved state and the end of
+        # the subtree in ``nodes``, once the node completes satisfiably
+        self.local: list[tuple[SolvedState, int] | None] = []
         self.events: list[GroundEvent] = []
         self.solutions: list[Solution] = []
-        self.deepest: Skeleton | None = None
-        self.deepest_size = 0
+        self.deepest: list[_SearchNode] = []
         self.depth_hit = False
 
     def run(self, goal: Clause) -> list[Solution]:
-        root = _SearchNode(0, GOAL_CLAUSE, goal, None, None, 0,
-                           [None] * len(goal.call_literals()))
-        self.nodes.append(root)
+        self.nodes.append(_SearchNode(0, GOAL_CLAUSE, goal, None, None, 0))
+        self.local.append(None)
         agenda = self._node_agenda(0, goal, None)
         solved = SolvedState()
         self._record_deepest(solved, agenda)
         self._search(agenda, solved)
         if not self.solutions:
-            deepest = DerivationTree(self.deepest) if self.deepest is not None else None
+            deepest = DerivationTree(_skeleton(self.deepest)) if self.deepest else None
             reason = ("depth limit exceeded with no proof tree"
                       if self.depth_hit else "goal has no proof tree")
             raise NoSolution(reason, deepest)
@@ -362,14 +371,8 @@ class _Derivation:
     def _node_agenda(index: int, clause: Clause, rest: tuple | None) -> tuple:
         """The node's body steps and its completion, in front of ``rest``;
         an agenda is a linked list of ``(step, rest)`` pairs ending in None."""
-        steps: list[tuple] = []
-        slot = 0
-        for lit, item in enumerate(clause.body, start=1):
-            if isinstance(item, ConstraintExpr):
-                steps.append(("post", index, lit, item))
-            else:
-                steps.append(("call", index, lit, item, slot))
-                slot += 1
+        steps = [("post" if isinstance(item, ConstraintExpr) else "call", index, lit, item)
+                 for lit, item in enumerate(clause.body, start=1)]
         agenda = ("complete", index), rest
         for step in reversed(steps):
             agenda = step, agenda
@@ -389,18 +392,17 @@ class _Derivation:
                     return
                 clause_idx, step, rest, solved, n_nodes, n_events = choices.pop()
                 self._backtrack(n_nodes, n_events)
-                _, parent_idx, lit, atom, slot = step
-                parent = self.nodes[parent_idx]
+                _, parent_idx, lit, atom = step
                 index = len(self.nodes)
                 label = rename_clause(self.program.clauses[clause_idx], index)
                 head = label.head
                 assert head is not None
                 eqs = _edge_equations(parent_idx, lit, atom, index, head)
                 self.nodes.append(_SearchNode(
-                    index, clause_idx, label, parent_idx, lit, parent.depth + 1,
-                    [None] * len(label.call_literals()), tuple(eqs),
+                    index, clause_idx, label, parent_idx, lit,
+                    self.nodes[parent_idx].depth + 1, tuple(eqs),
                     self._call_pins(atom, solved)))
-                parent.children[slot] = index
+                self.local.append(None)
                 call_ground = self._call_ground(parent_idx, lit, atom, index, head, solved)
                 self.events.append(GroundEvent("call", index, lit, call_ground))
                 solved = solved.extend(eqs, self.linear)
@@ -408,9 +410,8 @@ class _Derivation:
                     agenda = self._node_agenda(index, label, rest)
                     self._record_deepest(solved, agenda)
             elif agenda is None:
-                skeleton = Skeleton(tuple(n.freeze() for n in self.nodes))
-                self.solutions.append(
-                    Solution(ProofTree(skeleton), GroundnessLog(tuple(self.events))))
+                self.solutions.append(Solution(
+                    ProofTree(_skeleton(self.nodes)), GroundnessLog(tuple(self.events))))
                 solved = None
             else:
                 step, agenda = agenda
@@ -432,13 +433,10 @@ class _Derivation:
                     solved = None
 
     def _backtrack(self, n_nodes: int, n_events: int) -> None:
-        """Cut the nodes and events back to the given heights, detaching
-        every removed node from its parent's child slot."""
-        for node in self.nodes[n_nodes:]:
-            self.local.pop(node.index, None)
-            siblings = self.nodes[node.parent].children
-            siblings[siblings.index(node.index)] = None
+        """Cut the nodes, their local states and the events back to the
+        given heights."""
         del self.nodes[n_nodes:]
+        del self.local[n_nodes:]
         del self.events[n_events:]
 
     # -- groundness observation ---------------------------------------------
@@ -492,23 +490,23 @@ class _Derivation:
         """The subtree-local store of a just-completed node, solved by
         extending its first child's cached state with the other
         children's subtrees and the node's own share.  Depth-first order
-        makes the subtree the contiguous range ``nodes[index:]``, so the
-        later children's subtrees are ``nodes[children[1]:]``."""
+        makes the subtree the contiguous range ``nodes[index:]``: a first
+        child is node ``index + 1``, and the later children's subtrees
+        are ``nodes[end:]``, where the first child's subtree ended."""
         node = self.nodes[index]
-        children = node.children
-        base = self.local.get(children[0]) if children else None
-        if base is None:
-            base, later = SolvedState(), self.nodes[index + 1:]
+        first = self.local[index + 1] if index + 1 < len(self.nodes) else None
+        if first is None:
+            base, end = SolvedState(), index + 1
         else:
-            later = self.nodes[children[1]:] if len(children) > 1 else []
-        extra = [c for other in later for c in self._node_store(other)]
+            base, end = first
+        extra = [c for other in self.nodes[end:] for c in self._node_store(other)]
         local = base.extend(extra + self._node_store(node), self.linear)
         if local is None:
             # an unsat local store certifies nothing, like an UNSAT
             # SolvedForm: only variable-free terms count as ground
-            self.local.pop(index, None)
+            self.local[index] = None
             return SolvedState()
-        self.local[index] = local
+        self.local[index] = local, len(self.nodes)
         return local
 
     def _success_ground(self, index: int) -> frozenset[TreePosition]:
@@ -539,7 +537,7 @@ class _Derivation:
         """Keep the current skeleton if it is the largest satisfiable
         one so far; the state plus the agenda's pending posts is exactly
         its constraint set (see the module docstring)."""
-        if len(self.nodes) <= self.deepest_size:
+        if len(self.nodes) <= len(self.deepest):
             return
         pending = []
         while agenda is not None:
@@ -547,5 +545,4 @@ class _Derivation:
             if step[0] == "post":
                 pending.append(NumericConstraint(step[3]))
         if solved.extend(pending, self.linear) is not None:
-            self.deepest = Skeleton(tuple(n.freeze() for n in self.nodes))
-            self.deepest_size = len(self.nodes)
+            self.deepest = self.nodes[:]

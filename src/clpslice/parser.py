@@ -158,14 +158,16 @@ class _Parser:
         return Clause(None, body)
 
     def _begin_clause(self) -> None:
-        # Names explicitly written in this clause; anonymous "_" variables
-        # must not collide with them.
+        # Names explicitly written in this clause, up to its closing "."
+        # (the tokenizer emits "." only as a clause terminator); anonymous
+        # "_" variables must not collide with them.
         self._anon = 0
-        self._clause_vars = {
-            tok.text
-            for tok in self.tokens[self.pos:]
-            if tok.kind == "var"
-        }
+        self._clause_vars = set()
+        i = self.pos
+        while self.tokens[i].text not in (".", ""):
+            if self.tokens[i].kind == "var":
+                self._clause_vars.add(self.tokens[i].text)
+            i += 1
 
     def body(self) -> tuple:
         items: list = []

@@ -156,6 +156,36 @@ def test_oracle_domain_without_solution_is_an_input_error(capsys):
     assert "FAILED" not in err
 
 
+def test_oracle_skips_an_atom_criterion(capsys):
+    with pytest.warns(UserWarning) as caught:
+        code, _, err = run(capsys, "slice", CHAIN, "--goal", "p(X,Y,Z).",
+                           "--at", "0/1", "--oracle-domain=-5..50")
+    assert code == 0
+    assert any("oracle check skipped" in str(w.message) for w in caught)
+    assert "oracle validation over -5..50: skipped (criterion is not a variable position)" in err
+    assert ": ok" not in err
+
+
+def test_bad_oracle_domain_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "slice", CHAIN, "--goal", "p(X,Y,Z).",
+                       "--at", "0/1/1", "--oracle-domain=abc")
+    assert code == 1
+    assert "clpslice: bad --oracle-domain 'abc'; expected LO..HI" in err
+
+
+def test_position_mode_unknown_goal_position(capsys):
+    code, _, err = run(capsys, "slice", CHAIN, "--goal", "p(X,Y,Z).",
+                       "--mode", "position", "--at", "g/9/1")
+    assert code == 1
+    assert "clpslice: no such goal position: g/9/1" in err
+
+
+def test_division_by_zero_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "slice", CHAIN, "--goal", "{X =< 3/0}.", "--at", "0/1/1")
+    assert code == 1
+    assert "clpslice: division by zero (line 1, column 10)" in err
+
+
 def test_wrong_slice_fails_the_oracle(capsys, monkeypatch):
     # an empty slice of X leaves X unconstrained, which the store is not
     import clpslice.cli as cli_module

@@ -135,6 +135,31 @@ def test_derive_failure_keeps_deepest_satisfiable():
     assert satisfiable(deepest.store).is_sat
 
 
+def _count_skel_nodes(monkeypatch) -> list:
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return SkelNode(*args)
+
+    monkeypatch.setattr(clpslice.engine, "SkelNode", counting)
+    return built
+
+
+def test_skeleton_is_built_once_per_returned_tree(monkeypatch):
+    built = _count_skel_nodes(monkeypatch)
+    program = parse_program(clpslice.corpus_path("fib.clp").read_text())
+    tree = derive(program, parse_goal("fib(10,F)."))[0].tree
+    assert tree.node_count() == 178
+    assert len(built) == 178
+    built.clear()
+    peano = parse_program("add(z, Y, Y). add(s(X), Y, s(Z)) :- add(X, Y, Z).")
+    with pytest.raises(NoSolution) as err:
+        derive(peano, parse_goal("add(X, X, s(s(s(s(s(z))))))."))
+    assert err.value.deepest is not None
+    assert len(built) == err.value.deepest.node_count()
+
+
 def test_derive_backtracks_over_clause_order():
     program = parse_program("n(1).  n(2).  pick(X) :- n(X), {X >= 2}.")
     solution = derive(parse_program("n(1). n(2). pick(X) :- n(X), {X>=2}."),

@@ -11,6 +11,7 @@ from fractions import Fraction
 from clpslice import ConstraintStore, TermEquation, satisfiable
 from clpslice.constraints import SolvedState
 from clpslice.syntax import Compound, NumberLiteral, Term, Variable
+from conftest import store_of, teq
 from genutil import VAR_POOL, random_store
 
 HERBRAND_ONLY = ("H", "K")
@@ -105,3 +106,26 @@ def test_incremental_state_matches_whole_store_solver():
                           "compound-compound"}
     assert mixed_pinned > 100
 
+
+
+# stores whose numeric constraint has two occurrences that cancel: in
+# ``SolvedState._post`` once ``Y = Z`` binds Y to Z, and already in
+# ``constraint_linear`` for ``Y - Y``
+CANCELLING = (
+    [teq("Y", "Z"), *store_of("{X + Y - Z = 3}.")],
+    [teq("Y", "Z"), *store_of("{Y - Z = 1}.")],
+    [teq("Y", "Z"), *store_of("{X + Y - Z > 0}.")],
+    [*store_of("{X + Y - Y = 3}.")],
+)
+
+
+def test_cancelling_occurrences_match_whole_store_solver():
+    for store in CANCELLING:
+        state = SolvedState().extend(store, {})
+        reference = satisfiable(ConstraintStore(store))
+        assert (state is not None) == reference.is_sat, store
+        if state is None:
+            continue
+        for v in sorted(ConstraintStore(store).vars):
+            assert state.ground_value(Variable(v)) == reference.ground_value(Variable(v)), (store, v)
+    assert SolvedState().extend(CANCELLING[0], {}).ground_value(Variable("X")) == NumberLiteral(3)

@@ -77,6 +77,18 @@ def test_program_clause_requires_head():
         parse_program("p(1). {X = 1}.")
 
 
+def test_less_or_equal_spellings_parse_alike():
+    (lhs,) = parse_goal("{X =< 3}.").body
+    (rhs,) = parse_goal("{X <= 3}.").body
+    assert lhs.relation == "<=" and lhs == rhs
+
+
+def test_constraint_without_relation_is_a_syntax_error():
+    with pytest.raises(ClpSyntaxError, match=r"^expected a relation \(=, <, <=, >, >=\), "
+                                             r"found '\}' \(line 1, column 7\)$"):
+        parse_goal("{X + 1}.")
+
+
 def test_position_of(chain_program_text):
     program = parse_program(chain_program_text)
     # independent enumeration: find Z in the head of clause 0 by walking
@@ -113,6 +125,9 @@ def test_anonymous_variables_are_fresh():
     program = parse_program("p(_G0, _).")
     args = program.clauses[0].head.args
     assert args[0] != args[1]
+    # only the clause's own names are avoided, not a later clause's
+    program = parse_program("a(_). b(_G0, _).")
+    assert [str(c) for c in program.clauses] == ["a(_G0).", "b(_G0, _G1)."]
 
 
 def test_rename_clause(chain_program_text):
