@@ -135,7 +135,7 @@ def test_derive_failure_keeps_deepest_satisfiable():
     assert satisfiable(deepest.store).is_sat
 
 
-def _count_skel_nodes(monkeypatch) -> list:
+def test_skeleton_is_built_once_per_returned_tree(monkeypatch):
     built = []
 
     def counting(*args):
@@ -143,11 +143,6 @@ def _count_skel_nodes(monkeypatch) -> list:
         return SkelNode(*args)
 
     monkeypatch.setattr(clpslice.engine, "SkelNode", counting)
-    return built
-
-
-def test_skeleton_is_built_once_per_returned_tree(monkeypatch):
-    built = _count_skel_nodes(monkeypatch)
     program = parse_program(clpslice.corpus_path("fib.clp").read_text())
     tree = derive(program, parse_goal("fib(10,F)."))[0].tree
     assert tree.node_count() == 178
