@@ -9,6 +9,9 @@ Two subcommands:
 * ``stats``: slice every executed argument position of each goal in a
   goal file and tabulate average slice sizes.
 
+A slice follows the dependency edges that the tree's observed
+groundness leaves open; ``--undirected`` follows every edge.
+
 Exit codes: 0 success, 1 usage or input error (including an oracle
 domain that holds no solution of the store, and input that exhausts
 Python's recursion limit, such as deeply nested parentheses in a
@@ -20,55 +23,24 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 import tempfile
 import warnings
 from dataclasses import dataclass
+from functools import reduce
 
-from .depgraph import (
-    DependencyGraph,
-    Slice,
-    SliceKind,
-    graph_to_dot,
-    tree_dep_graph,
-)
-from .directional import (
-    Annotation,
-    all_dual,
-    annotate,
-    directed_to_dot,
-    directional_slice,
-)
-from .engine import (
-    NoSolution,
-    Solution,
-    derive,
-    origin_constraints,
-    phi_inverse,
-    positions_to_store,
-)
+from .depgraph import DependencyGraph, graph_to_dot, tree_dep_graph, tree_slice
+from .directional import Annotation, annotate, directed_to_dot, directional_slice
+from .engine import (NoSolution, ProofTree, Solution, derive, origin_constraints,
+                     phi_inverse, positions_to_store)
 from .oracle import OracleDomainError, has_solution, is_slice
 from .parser import ClpSyntaxError, NonlinearityError, parse_goal, parse_program
-from .report import (
-    SliceReport,
-    SliceStats,
-    compute_stats,
-    emit_report,
-    highlight_listing,
-)
-from .syntax import (
-    AddressError,
-    GOAL_CLAUSE,
-    Program,
-    ProgramPosition,
-    TreePosition,
-    Variable,
-    goal_positions,
-    parse_program_address,
-    parse_tree_address,
-    render_element,
-)
+from .report import SliceReport, SliceStats, compute_stats, emit_report, highlight_listing
+from .syntax import (GOAL_CLAUSE, AddressError, Program, ProgramPosition, TreePosition,
+                     Variable, goal_positions, parse_program_address, parse_tree_address,
+                     render_element)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -128,10 +100,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "slice":
             return _cmd_slice(args)
         return _cmd_stats(args)
-    except _UsageError as exc:
-        print(f"clpslice: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ClpSyntaxError, NonlinearityError, AddressError, OSError, ValueError) as exc:
+    except (_UsageError, ClpSyntaxError, NonlinearityError, AddressError, OSError,
+            ValueError) as exc:
         print(f"clpslice: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except NoSolution as exc:
@@ -159,46 +129,56 @@ def _parse_domain(text: str) -> tuple[int, int]:
 
 
 def _write_atomic(path: str, content: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".clpslice-")
+    """Replace ``path`` by ``content`` in one rename.  The file gets the
+    mode that a plain ``open`` gives a new file, and an error names
+    ``path``, not the temporary file."""
+    umask = os.umask(0)
+    os.umask(umask)
     try:
-        with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(content)
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                   prefix=".clpslice-")
+        try:
+            with os.fdopen(fd, "w", encoding="utf-8") as handle:
+                handle.write(content)
+            os.chmod(tmp, 0o666 & ~umask)
+            os.replace(tmp, path)
+        except BaseException:
+            os.unlink(tmp)
+            raise
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
+
+
+def _mean(values: list[float]) -> float:
+    """The mean, summed left to right.  ``sum`` compensates float rounding
+    from Python 3.12 on, so its last bit depends on the interpreter."""
+    return reduce(operator.add, values, 0.0) / len(values) if values else 0.0
+
+
+def _slices(solution: Solution, criteria: list[TreePosition], undirected: bool
+            ) -> tuple[DependencyGraph, Annotation | None, list[frozenset[TreePosition]]]:
+    """The tree's dependency graph, its groundness annotation (none under
+    ``--undirected``) and the slice of each criterion: directional, or
+    the plain dependency component under ``--undirected``.  Every slice
+    that ``slice`` and ``stats`` compute is computed here."""
+    tree = solution.tree
+    graph = tree_dep_graph(tree)
+    if undirected:
+        return graph, None, [tree_slice(tree, alpha, graph).positions for alpha in criteria]
+    annotation = annotate(tree, solution.log)
+    return graph, annotation, [
+        directional_slice(tree, annotation, alpha, graph).positions for alpha in criteria]
 
 
 @dataclass
 class _SolutionSlice:
-    solution: Solution
-    tree_slice: Slice
+    """The union of one tree's slices, attributed to its first criterion."""
+
+    tree: ProofTree
+    union: frozenset[TreePosition]
+    criterion: TreePosition
     graph: DependencyGraph
-    annotation: Annotation
-
-
-def _annotation(solution: Solution, undirected: bool) -> Annotation:
-    """Observed groundness, or none at all under ``--undirected``, where
-    a directional slice is the plain dependency component."""
-    if undirected:
-        return all_dual(solution.tree)
-    return annotate(solution.tree, solution.log)
-
-
-def _slice_solution(solution: Solution, criteria: list[TreePosition],
-                    undirected: bool) -> _SolutionSlice | None:
-    """The union of the criteria's slices, attributed to the first."""
-    if not criteria:
-        return None
-    tree = solution.tree
-    graph = tree_dep_graph(tree)
-    annotation = _annotation(solution, undirected)
-    union: frozenset[TreePosition] = frozenset()
-    for alpha in criteria:
-        union |= directional_slice(tree, annotation, alpha, graph).positions
-    return _SolutionSlice(solution, Slice(SliceKind.TREE, union, criteria[0]),
-                          graph, annotation)
+    annotation: Annotation | None
 
 
 def _cmd_slice(args: argparse.Namespace) -> int:
@@ -207,73 +187,48 @@ def _cmd_slice(args: argparse.Namespace) -> int:
     solutions = derive(program, goal, depth_limit=args.depth,
                        max_solutions=max(1, args.all_solutions))
 
-    if args.mode in ("tree", "dynamic"):
-        criterion_addr = parse_tree_address(args.at)
-        sliced = [
-            _slice_solution(sol, [criterion_addr], args.undirected) for sol in solutions
-        ]
-    else:
+    if args.mode == "position":
         q = parse_program_address(args.at)
         _validate_program_address(program, goal, q)
-        sliced = []
-        for sol in solutions:
-            instances = sorted(phi_inverse(sol.tree, q))
-            if not instances:
-                warnings.warn(f"program position {q.address} has no instance in the proof tree")
-            sliced.append(_slice_solution(sol, instances, args.undirected))
-
-    reports = []
-    tree_addresses: set[str] = set()
-    program_addresses: set[str] = set()
-    node_pcts: list[float] = []
-    arg_pcts: list[float] = []
-    stats0 = None
-    for entry in sliced:
-        if entry is None:
+    else:
+        alpha = parse_tree_address(args.at)
+    entries = []
+    for sol in solutions:
+        criteria = sorted(phi_inverse(sol.tree, q)) if args.mode == "position" else [alpha]
+        if not criteria:
+            warnings.warn(f"program position {q.address} has no instance in the proof tree")
             continue
-        positions = entry.tree_slice.positions
-        tree_addresses |= {p.address for p in positions}
-        stats = compute_stats(entry.solution.tree, positions)
-        node_pcts.append(stats.slice_node_pct)
-        arg_pcts.append(stats.slice_argpos_pct)
-        if stats0 is None:
-            stats0 = stats
-        if args.mode in ("dynamic", "position"):
-            program_addresses |= {
-                entry.solution.tree.phi[p].address for p in positions
-            }
-        reports.append(entry)
+        graph, annotation, slices = _slices(sol, criteria, args.undirected)
+        entries.append(_SolutionSlice(sol.tree, frozenset().union(*slices), criteria[0],
+                                      graph, annotation))
 
-    if stats0 is None:
-        stats0 = compute_stats(solutions[0].tree, frozenset())
-    stats = SliceStats(
-        stats0.tree_node_count,
-        stats0.tree_argpos_count,
-        sum(node_pcts) / len(node_pcts) if node_pcts else 0.0,
-        sum(arg_pcts) / len(arg_pcts) if arg_pcts else 0.0,
-    )
+    stats = [compute_stats(e.tree, e.union) for e in entries]
+    first = entries[0].tree if entries else solutions[0].tree
     report = SliceReport(
         mode=args.mode,
         criterion=args.at,
-        tree_positions=frozenset(tree_addresses),
-        program_positions=frozenset(program_addresses),
-        stats=stats,
+        tree_positions=frozenset(p.address for e in entries for p in e.union),
+        program_positions=frozenset() if args.mode == "tree" else frozenset(
+            e.tree.phi[p].address for e in entries for p in e.union),
+        stats=SliceStats(first.node_count(), len(first.argument_positions),
+                         _mean([s.slice_node_pct for s in stats]),
+                         _mean([s.slice_argpos_pct for s in stats])),
         annotation_used=not args.undirected,
     )
 
-    _print_slice(program, goal, reports, report)
+    _print_slice(program, goal, entries, report)
 
     if args.json:
         _write_atomic(args.json, emit_report(
             report, goal=args.goal, program=args.program,
             log=solutions[0].log,
         ))
-    if args.dot and reports:
-        _write_atomic(args.dot, _render_dot(args, reports[0]))
+    if args.dot and entries:
+        _write_atomic(args.dot, _render_dot(entries[0]))
 
     if args.oracle_domain:
         dom = _parse_domain(args.oracle_domain)
-        verdict = _validate_slices(reports, dom)
+        verdict = _validate_slices(entries, dom)
         if verdict is False:
             print("clpslice: oracle validation FAILED", file=sys.stderr)
             return EXIT_ORACLE
@@ -290,13 +245,12 @@ def _validate_program_address(program: Program, goal, q: ProgramPosition) -> Non
         program.element_at(q)
 
 
-def _render_dot(args: argparse.Namespace, entry: _SolutionSlice) -> str:
-    tree = entry.solution.tree
-    if args.undirected:
-        return graph_to_dot(entry.graph, tree.pos_table,
-                            entry.tree_slice.positions, entry.tree_slice.criterion)
-    return directed_to_dot(entry.graph, tree.pos_table, entry.annotation,
-                           entry.tree_slice.positions, entry.tree_slice.criterion)
+def _render_dot(entry: _SolutionSlice) -> str:
+    elements = entry.tree.pos_table
+    if entry.annotation is None:
+        return graph_to_dot(entry.graph, elements, entry.union, entry.criterion)
+    return directed_to_dot(entry.graph, elements, entry.annotation, entry.union,
+                           entry.criterion)
 
 
 def _validate_slices(entries: list[_SolutionSlice], dom: tuple[int, int]) -> bool | None:
@@ -306,16 +260,15 @@ def _validate_slices(entries: list[_SolutionSlice], dom: tuple[int, int]) -> boo
     nothing, so it is an input error rather than a failed check."""
     ok = None
     for entry in entries:
-        tree = entry.solution.tree
-        criterion = entry.tree_slice.criterion
-        elem = tree.element_at(criterion)
+        tree = entry.tree
+        elem = tree.element_at(entry.criterion)
         if not isinstance(elem, Variable):
             warnings.warn("criterion is not a variable position; oracle check skipped")
             continue
         if not has_solution(tree.store, dom):
             raise OracleDomainError(
                 f"oracle domain {dom[0]}..{dom[1]} holds no solution of the store")
-        subset = positions_to_store(tree, entry.tree_slice.positions)
+        subset = positions_to_store(tree, entry.union)
         if not is_slice(tree.store, subset, elem.name, dom):
             ok = False
         elif ok is None:
@@ -323,28 +276,24 @@ def _validate_slices(entries: list[_SolutionSlice], dom: tuple[int, int]) -> boo
     return ok
 
 
-def _print_slice(program: Program, goal, entries, report: SliceReport) -> None:
+def _print_slice(program: Program, goal, entries: list[_SolutionSlice],
+                 report: SliceReport) -> None:
     print(f"mode: {report.mode}   criterion: {report.criterion}   "
           f"annotation: {'on' if report.annotation_used else 'off'}")
     print(f"tree: {report.stats.tree_node_count} nodes, "
           f"{report.stats.tree_argpos_count} argument positions")
     print(f"slice: {report.stats.slice_node_pct:.2f}% of nodes, "
           f"{report.stats.slice_argpos_pct:.2f}% of argument positions")
-    entry = entries[0] if entries else None
-    if entry is not None:
-        tree = entry.solution.tree
+    if entries:
+        tree, union = entries[0].tree, entries[0].union
         print("tree positions:")
         texts: dict[int, str] = {}
-        for pos in sorted(entry.tree_slice.positions):
+        for pos in sorted(union):
             print(f"  {pos.address}  {render_element(tree.element_at(pos), texts)}")
-        store = origin_constraints(tree, entry.tree_slice.positions)
-        print(f"store slice: {store}")
-    if report.mode in ("dynamic", "position") and entry is not None:
-        positions = [
-            entry.solution.tree.phi[p] for p in entry.tree_slice.positions
-        ]
-        print("program listing (slice bracketed):")
-        print(highlight_listing(program, goal, positions), end="")
+        print(f"store slice: {origin_constraints(tree, union)}")
+        if report.mode != "tree":
+            print("program listing (slice bracketed):")
+            print(highlight_listing(program, goal, [tree.phi[p] for p in union]), end="")
 
 
 # ---------------------------------------------------------------------------
@@ -369,23 +318,19 @@ def _cmd_stats(args: argparse.Namespace) -> int:
             rows.append({"goal": line, "status": "failed", "error": "recursion limit exceeded"})
             continue
         tree = solution.tree
-        graph = tree_dep_graph(tree)
-        io = _annotation(solution, args.undirected).io
         argpos = sorted(tree.argument_positions)
-        node_pcts: list[float] = []
-        arg_pcts: list[float] = []
-        for pos in argpos:
-            stats = compute_stats(tree, graph.reach(pos, io))
-            node_pcts.append(stats.slice_node_pct)
-            arg_pcts.append(stats.slice_argpos_pct)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            stats = [compute_stats(tree, s)
+                     for s in _slices(solution, argpos, args.undirected)[2]]
         rows.append({
             "goal": line,
             "status": "ok",
             "tree_nodes": tree.node_count(),
             "tree_argpos": len(argpos),
             "slices": len(argpos),
-            "avg_node_pct": sum(node_pcts) / len(node_pcts) if node_pcts else 0.0,
-            "avg_argpos_pct": sum(arg_pcts) / len(arg_pcts) if arg_pcts else 0.0,
+            "avg_node_pct": _mean([s.slice_node_pct for s in stats]),
+            "avg_argpos_pct": _mean([s.slice_argpos_pct for s in stats]),
         })
 
     _print_stats_table(args.program, len(program.clauses), rows)
@@ -408,13 +353,12 @@ def _print_stats_table(program_name: str, clause_count: int, rows: list[dict]) -
         else:
             print(f"{r['goal']:<32} {'failed':<7}")
     if ok_rows:
-        n = len(ok_rows)
-        print(f"{'TOTAL':<32} {f'{n}/{len(rows)}':<7} "
-              f"{sum(r['tree_nodes'] for r in ok_rows) / n:>6.1f} "
-              f"{sum(r['tree_argpos'] for r in ok_rows) / n:>9.1f} "
-              f"{sum(r['slices'] for r in ok_rows):>7} "
-              f"{sum(r['avg_node_pct'] for r in ok_rows) / n:>8.2f} "
-              f"{sum(r['avg_argpos_pct'] for r in ok_rows) / n:>10.2f}")
+        def mean(key: str) -> float:
+            return _mean([r[key] for r in ok_rows])
+
+        print(f"{'TOTAL':<32} {f'{len(ok_rows)}/{len(rows)}':<7} {mean('tree_nodes'):>6.1f} "
+              f"{mean('tree_argpos'):>9.1f} {sum(r['slices'] for r in ok_rows):>7} "
+              f"{mean('avg_node_pct'):>8.2f} {mean('avg_argpos_pct'):>10.2f}")
 
 
 if __name__ == "__main__":

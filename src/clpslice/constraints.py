@@ -97,10 +97,8 @@ class ConstraintStore:
         self.constraints: tuple[StoreConstraint, ...] = tuple(
             replace(c, origin=merged[c]) for c in order
         )
-        v: frozenset[str] = frozenset()
-        for c in self.constraints:
-            v |= c.variables()
-        self.vars: frozenset[str] = v
+        self.vars: frozenset[str] = frozenset().union(
+            *(c.variables() for c in self.constraints))
 
     def __iter__(self) -> Iterator[StoreConstraint]:
         return iter(self.constraints)

@@ -41,6 +41,8 @@ from .syntax import (
     TreePosition,
     Variable,
     clause_positions,
+    goal_positions,
+    render_element,
     term_subpositions,
 )
 
@@ -291,8 +293,6 @@ def program_slice(program: Program, goal: Clause, beta: ProgramPosition,
         raise ValueError(f"no such program position: {beta.address}")
     table: Mapping[ProgramPosition, object]
     if beta.clause == GOAL_CLAUSE:
-        from .syntax import goal_positions
-
         table = goal_positions(goal)
     else:
         table = program.position_table
@@ -307,24 +307,29 @@ def _dot_id(pos: Position) -> str:
     return '"' + pos.address + '"'
 
 
+def _dot_nodes(header: str, graph: DependencyGraph, elements: Mapping[Position, object],
+               slice_positions: frozenset[Position] | None, criterion: Position | None,
+               suffix: Callable[[Position], str] = lambda pos: "") -> list[str]:
+    """The opening lines of a DOT rendering: the ``header`` line and one
+    node per position, labelled with its address, its element and
+    ``suffix(pos)``; slice members are filled, the criterion doubly so."""
+    lines = [f"{header} {{", '  node [shape=box, fontname="monospace"];']
+    texts: dict[int, str] = {}
+    for pos in sorted(graph.universe):
+        attrs = [f'label="{pos.address}\\n{render_element(elements[pos], texts)}{suffix(pos)}"']
+        if criterion is not None and pos == criterion:
+            attrs.extend(("style=filled", "fillcolor=gold"))
+        elif slice_positions is not None and pos in slice_positions:
+            attrs.extend(("style=filled", "fillcolor=lightblue"))
+        lines.append(f"  {_dot_id(pos)} [{', '.join(attrs)}];")
+    return lines
+
+
 def graph_to_dot(graph: DependencyGraph, elements: Mapping[Position, object],
                  slice_positions: frozenset[Position] | None = None,
                  criterion: Position | None = None) -> str:
     """Graphviz rendering; slice members are filled, the criterion doubly so."""
-    from .syntax import render_element
-
-    lines = ["graph dependencies {", '  node [shape=box, fontname="monospace"];']
-    texts: dict[int, str] = {}
-    for pos in sorted(graph.universe):
-        label = f"{pos.address}\\n{render_element(elements[pos], texts)}"
-        attrs = [f'label="{label}"']
-        if criterion is not None and pos == criterion:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=gold")
-        elif slice_positions is not None and pos in slice_positions:
-            attrs.append("style=filled")
-            attrs.append("fillcolor=lightblue")
-        lines.append(f"  {_dot_id(pos)} [{', '.join(attrs)}];")
+    lines = _dot_nodes("graph dependencies", graph, elements, slice_positions, criterion)
     for e in sorted(graph.edges, key=lambda e: (e.a, e.b, e.kind.value)):
         lines.append(f"  {_dot_id(e.a)} -- {_dot_id(e.b)} [label=\"{e.kind.value}\"];")
     lines.append("}")

@@ -25,6 +25,8 @@ from .depgraph import (
     Slice,
     SliceKind,
     _blocked,
+    _dot_id,
+    _dot_nodes,
     _warn_if_not_variable,
     tree_dep_graph,
 )
@@ -111,8 +113,6 @@ def directed_to_dot(graph: DependencyGraph, elements: Mapping[TreePosition, obje
     an edge yields each arc that ``depgraph._blocked`` leaves open, the
     rule ``reach`` follows.  One-directional arcs get arrowheads, mutual
     pairs a single double-headed edge; labels carry annotation marks."""
-    from .syntax import render_element
-
     io = annotation.io
     arcs: set[tuple[TreePosition, TreePosition]] = set()
     for e in graph.edges:
@@ -121,21 +121,12 @@ def directed_to_dot(graph: DependencyGraph, elements: Mapping[TreePosition, obje
             arcs.add((e.a, e.b))
         if not _blocked(e.kind, kb, ka):
             arcs.add((e.b, e.a))
-    lines = ["digraph directed_dependencies {", '  node [shape=box, fontname="monospace"];']
-    texts: dict[int, str] = {}
-    for pos in sorted(graph.universe):
-        label = (f"{pos.address}\\n{render_element(elements[pos], texts)} "
-                 f"{_ANNOT_SUFFIX[annotation.of(pos)]}")
-        attrs = [f'label="{label}"']
-        if criterion is not None and pos == criterion:
-            attrs.extend(("style=filled", "fillcolor=gold"))
-        elif slice_positions is not None and pos in slice_positions:
-            attrs.extend(("style=filled", "fillcolor=lightblue"))
-        lines.append(f'  "{pos.address}" [{", ".join(attrs)}];')
+    lines = _dot_nodes("digraph directed_dependencies", graph, elements, slice_positions,
+                       criterion, lambda pos: f" {_ANNOT_SUFFIX[annotation.of(pos)]}")
     for a, b in sorted(arcs):
         if (b, a) not in arcs:
-            lines.append(f'  "{a.address}" -> "{b.address}";')
+            lines.append(f"  {_dot_id(a)} -> {_dot_id(b)};")
         elif a <= b:
-            lines.append(f'  "{a.address}" -> "{b.address}" [dir=both];')
+            lines.append(f"  {_dot_id(a)} -> {_dot_id(b)} [dir=both];")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -237,7 +237,7 @@ def phi_inverse(tree: DerivationTree, q: ProgramPosition) -> frozenset[TreePosit
 def positions_to_store(tree: DerivationTree, positions: frozenset[TreePosition] | set[TreePosition]) -> ConstraintStore:
     """The store subset induced by a position set: all constraints whose
     variables meet the variables appearing at those positions."""
-    psi: frozenset[str] = frozenset()
+    psi: set[str] = set()
     for p in positions:
         elem = tree.element_at(p)
         if isinstance(elem, (Atom, ConstraintExpr)):
@@ -270,18 +270,10 @@ class GroundnessLog:
     events: tuple[GroundEvent, ...]
 
     def call_ground(self) -> frozenset[TreePosition]:
-        out: frozenset[TreePosition] = frozenset()
-        for e in self.events:
-            if e.kind in ("call", "post"):
-                out |= e.ground
-        return out
+        return frozenset().union(*(e.ground for e in self.events if e.kind in ("call", "post")))
 
     def success_ground(self) -> frozenset[TreePosition]:
-        out: frozenset[TreePosition] = frozenset()
-        for e in self.events:
-            if e.kind == "success":
-                out |= e.ground
-        return out
+        return frozenset().union(*(e.ground for e in self.events if e.kind == "success"))
 
 
 @dataclass(frozen=True)

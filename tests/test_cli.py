@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 from pathlib import Path
@@ -367,3 +368,36 @@ def test_report_percentages_recomputable(capsys, tmp_path):
     expected = 100 * len(nodes_touched) / data["stats"]["tree_node_count"]
     assert abs(data["stats"]["slice_node_pct"] - expected) < 1e-9
     assert tree.node_count() == data["stats"]["tree_node_count"]
+
+
+posix_only = pytest.mark.skipif(os.name != "posix", reason="POSIX file modes and messages")
+
+
+@posix_only
+@pytest.mark.parametrize("umask", [0o022, 0o027, 0o002], ids=oct)
+def test_output_files_get_the_mode_of_a_plain_file(tmp_path, capsys, umask):
+    report_file, dot_file, stats_file = (tmp_path / n for n in ("r.json", "g.dot", "s.json"))
+    old = os.umask(umask)
+    try:
+        (tmp_path / "plain").write_text("")
+        code, _, _ = run(capsys, "slice", CHAIN, "--goal", "p(X,Y,Z).", "--at", "0/1/3",
+                         "--json", str(report_file), "--dot", str(dot_file))
+        assert code == 0
+        code, _, _ = run(capsys, "stats", CHAIN, str(corpus_path("chain.goals")),
+                         "--json", str(stats_file))
+        assert code == 0
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE((tmp_path / "plain").stat().st_mode) == 0o666 & ~umask
+    for path in (report_file, dot_file, stats_file):
+        assert stat.S_IMODE(path.stat().st_mode) == 0o666 & ~umask, path.name
+
+
+@posix_only
+def test_output_into_a_missing_directory_names_the_given_path(tmp_path, capsys):
+    target = tmp_path / "nodir" / "report.json"
+    code, _, err = run(capsys, "slice", CHAIN, "--goal", "p(X,Y,Z).", "--at", "0/1/3",
+                       "--json", str(target))
+    assert code == 1
+    assert err == f"clpslice: [Errno 2] No such file or directory: '{target}'\n"
+    assert not target.parent.exists()
