@@ -232,7 +232,12 @@ def _cmd_slice(args: argparse.Namespace) -> int:
         if verdict is False:
             print("clpslice: oracle validation FAILED", file=sys.stderr)
             return EXIT_ORACLE
-        outcome = "ok" if verdict else "skipped (criterion is not a variable position)"
+        if verdict:
+            outcome = "ok"
+        elif entries:
+            outcome = "skipped (criterion is not a variable position)"
+        else:
+            outcome = "skipped (no proof tree holds an instance of the position)"
         print(f"oracle validation over {dom[0]}..{dom[1]}: {outcome}", file=sys.stderr)
     return EXIT_OK
 
@@ -255,8 +260,8 @@ def _render_dot(entry: _SolutionSlice) -> str:
 
 def _validate_slices(entries: list[_SolutionSlice], dom: tuple[int, int]) -> bool | None:
     """Whether every slice keeps its criterion's solutions over the
-    domain, or None when no criterion is a variable, so that no slice
-    was checked.  A domain without any solution of a store can certify
+    domain, or None when no slice was checked: there is no entry, or no
+    criterion is a variable.  A domain without any solution of a store can certify
     nothing, so it is an input error rather than a failed check."""
     ok = None
     for entry in entries:

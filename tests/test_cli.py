@@ -167,6 +167,26 @@ def test_oracle_skips_an_atom_criterion(capsys):
     assert ": ok" not in err
 
 
+def test_oracle_skips_a_position_without_instances(tmp_path, capsys):
+    # the first tree uses the first clause only, so no tree holds 1/0/1
+    program = tmp_path / "q.clp"
+    program.write_text("q(X) :- {X = 1}.\nq(X) :- {X = 2}.\n")
+    with pytest.warns(UserWarning, match="program position 1/0/1 has no instance"):
+        code, _, err = run(capsys, "slice", str(program), "--goal", "q(X).",
+                           "--mode", "position", "--at", "1/0/1", "--oracle-domain=0..5")
+    assert code == 0
+    assert err == ("oracle validation over 0..5: skipped "
+                   "(no proof tree holds an instance of the position)\n")
+
+
+def test_oracle_certifies_sum_40(capsys):
+    # 161 store variables over a domain of 832 values
+    code, _, err = run(capsys, "slice", str(corpus_path("sum.clp")), "--goal", "sum(40,S).",
+                       "--at", "0/1/2", "--oracle-domain=-1..830")
+    assert code == 0
+    assert err == "oracle validation over -1..830: ok\n"
+
+
 def test_bad_oracle_domain_is_a_usage_error(capsys):
     code, _, err = run(capsys, "slice", CHAIN, "--goal", "p(X,Y,Z).",
                        "--at", "0/1/1", "--oracle-domain=abc")
