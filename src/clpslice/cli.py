@@ -123,9 +123,12 @@ def _read_program(path: str) -> Program:
 def _parse_domain(text: str) -> tuple[int, int]:
     try:
         lo, hi = text.split("..")
-        return int(lo), int(hi)
+        dom = int(lo), int(hi)
     except ValueError:
         raise _UsageError(f"bad --oracle-domain {text!r}; expected LO..HI") from None
+    if dom[0] > dom[1]:
+        raise _UsageError(f"bad --oracle-domain {text!r}; LO is greater than HI")
+    return dom
 
 
 def _write_atomic(path: str, content: str) -> None:
@@ -182,6 +185,7 @@ class _SolutionSlice:
 
 
 def _cmd_slice(args: argparse.Namespace) -> int:
+    dom = _parse_domain(args.oracle_domain) if args.oracle_domain else None
     program = _read_program(args.program)
     goal = parse_goal(args.goal)
     solutions = derive(program, goal, depth_limit=args.depth,
@@ -226,8 +230,7 @@ def _cmd_slice(args: argparse.Namespace) -> int:
     if args.dot and entries:
         _write_atomic(args.dot, _render_dot(entries[0]))
 
-    if args.oracle_domain:
-        dom = _parse_domain(args.oracle_domain)
+    if dom is not None:
         verdict = _validate_slices(entries, dom)
         if verdict is False:
             print("clpslice: oracle validation FAILED", file=sys.stderr)

@@ -12,16 +12,23 @@ Grammar (see docs/format.md):
     term       ::= variable | number | name ( "(" term ("," term)* ")" )?
 
 Variables start with an uppercase letter or "_"; each bare "_" is a fresh
-variable.  Numbers are integers or a/b fractions, optionally negated.
-A brace group with several comma-separated constraints yields one body
-item per constraint.  Comments run from "%" to end of line.
+variable.  Numbers are integers or a/b fractions, optionally negated; a
+zero denominator is a syntax error.  A brace group with several
+comma-separated constraints yields one body item per constraint.
+Comments run from "%" to end of line.
+
+The text is tokenized in one regular-expression pass into plain
+``(kind, text, offset)`` tuples, kind one of var, name, int, op and eof.
+No token carries a line or column: an error computes them from its
+token's offset (``_line_col``), so only a failing parse pays for them.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
+from typing import NoReturn
 
 from .linexpr import NonlinearityError, to_linear
 from .syntax import (
@@ -47,6 +54,9 @@ class ClpSyntaxError(ValueError):
         self.col = col
 
 
+# The last alternative catches any character no other one accepts.  No
+# var, name, int or eof token is spelled like an op, so the parser
+# tests for an operator by its text alone.
 _TOKEN_RE = re.compile(
     r"""
       (?P<ws>\s+|%[^\n]*)
@@ -54,90 +64,80 @@ _TOKEN_RE = re.compile(
     | (?P<name>[a-z][A-Za-z0-9_]*)
     | (?P<int>\d+)
     | (?P<op>:-|=<|<=|>=|[(){},.=<>+\-*/])
+    | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
 
+_RELATIONS = frozenset(("=", "<", "<=", "=<", ">", ">="))
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # var | name | int | op | eof
-    text: str
-    line: int
-    col: int
+Token = tuple[str, str, int]
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        m = _TOKEN_RE.match(text, i)
-        if m is None:
-            raise ClpSyntaxError(f"unexpected character {text[i]!r}", line, col)
-        kind = m.lastgroup or ""
-        lexeme = m.group()
-        if kind != "ws":
-            tokens.append(_Token(kind, lexeme, line, col))
-        newlines = lexeme.count("\n")
-        if newlines:
-            line += newlines
-            col = len(lexeme) - lexeme.rfind("\n")
-        else:
-            col += len(lexeme)
-        i = m.end()
-    tokens.append(_Token("eof", "", line, col))
-    return tokens
+def _line_col(text: str, offset: int) -> tuple[int, int]:
+    """The 1-based line and column of ``text[offset]``."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+def _tokenize(text: str) -> list[Token]:
+    tokens = [(m.lastgroup, m.group(), m.start())
+              for m in _TOKEN_RE.finditer(text) if m.lastgroup != "ws"]
+    if "bad" in map(itemgetter(0), tokens):
+        offset = next(tok[2] for tok in tokens if tok[0] == "bad")
+        raise ClpSyntaxError(f"unexpected character {text[offset]!r}",
+                             *_line_col(text, offset))
+    tokens.append(("eof", "", len(text)))
+    return tokens  # type: ignore[return-value]
 
 
 class _Parser:
     def __init__(self, text: str):
+        self.text = text
         self.tokens = _tokenize(text)
         self.pos = 0
         self._anon = 0
-        self._clause_vars: set[str] = set()
+        self._clause_start = 0
+        self._clause_vars: set[str] | None = None
 
     # -- token plumbing ----------------------------------------------------
 
-    @property
-    def cur(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.cur
+    def advance(self) -> Token:
+        tok = self.tokens[self.pos]
         self.pos += 1
         return tok
 
     def at(self, text: str) -> bool:
-        return self.cur.kind == "op" and self.cur.text == text
+        return self.tokens[self.pos][1] == text
 
     def take(self, text: str) -> bool:
-        if self.at(text):
-            self.advance()
+        if self.tokens[self.pos][1] == text:
+            self.pos += 1
             return True
         return False
 
-    def expect(self, text: str) -> _Token:
-        if not self.at(text):
+    def expect(self, text: str) -> Token:
+        tok = self.tokens[self.pos]
+        if tok[1] != text:
             self.fail(f"expected {text!r}")
-        return self.advance()
+        self.pos += 1
+        return tok
 
-    def fail(self, message: str) -> None:
-        tok = self.cur
-        what = "end of input" if tok.kind == "eof" else repr(tok.text)
-        raise ClpSyntaxError(f"{message}, found {what}", tok.line, tok.col)
+    def fail(self, message: str) -> NoReturn:
+        kind, text, offset = self.tokens[self.pos]
+        what = "end of input" if kind == "eof" else repr(text)
+        raise ClpSyntaxError(f"{message}, found {what}", *_line_col(self.text, offset))
 
     # -- clauses -----------------------------------------------------------
 
     def parse_program(self) -> Program:
         clauses = []
-        while self.cur.kind != "eof":
+        while self.tokens[self.pos][0] != "eof":
             clauses.append(self.clause())
         return Program(tuple(clauses))
 
     def clause(self) -> Clause:
         self._begin_clause()
-        if self.cur.kind != "name":
+        if self.tokens[self.pos][0] != "name":
             self.fail("expected a clause head")
         head = self.atom()
         body: tuple = ()
@@ -153,21 +153,14 @@ class _Parser:
         if self.at(":-"):
             self.fail("a goal has no head")
         self.expect(".")
-        if self.cur.kind != "eof":
+        if self.tokens[self.pos][0] != "eof":
             self.fail("trailing input after goal")
         return Clause(None, body)
 
     def _begin_clause(self) -> None:
-        # Names explicitly written in this clause, up to its closing "."
-        # (the tokenizer emits "." only as a clause terminator); anonymous
-        # "_" variables must not collide with them.
         self._anon = 0
-        self._clause_vars = set()
-        i = self.pos
-        while self.tokens[i].text not in (".", ""):
-            if self.tokens[i].kind == "var":
-                self._clause_vars.add(self.tokens[i].text)
-            i += 1
+        self._clause_start = self.pos
+        self._clause_vars = None
 
     def body(self) -> tuple:
         items: list = []
@@ -177,7 +170,7 @@ class _Parser:
                 while self.take(","):
                     items.append(self.constraint())
                 self.expect("}")
-            elif self.cur.kind == "name":
+            elif self.tokens[self.pos][0] == "name":
                 items.append(self.atom())
             else:
                 self.fail("expected an atom or a '{' constraint")
@@ -187,7 +180,7 @@ class _Parser:
     # -- atoms and terms ---------------------------------------------------
 
     def atom(self) -> Atom:
-        name = self.advance().text
+        name = self.advance()[1]
         args: tuple[Term, ...] = ()
         if self.take("("):
             out = [self.term()]
@@ -200,20 +193,22 @@ class _Parser:
     def term(self) -> Term:
         # the compounds still open, innermost last, each with its
         # arguments parsed so far: no recursion per nesting level
+        tokens = self.tokens
         open_: list[tuple[str, list[Term]]] = []
         while True:
-            tok = self.cur
-            if tok.kind == "var":
-                self.advance()
-                t: Term = self._variable(tok.text)
-            elif tok.kind == "int" or self.at("-"):
+            kind, text, _ = tokens[self.pos]
+            if kind == "var":
+                self.pos += 1
+                t: Term = self._variable(text)
+            elif kind == "int" or text == "-":
                 t = self._number()
-            elif tok.kind == "name":
-                self.advance()
-                if self.take("("):
-                    open_.append((tok.text, []))
+            elif kind == "name":
+                self.pos += 1
+                if tokens[self.pos][1] == "(":
+                    self.pos += 1
+                    open_.append((text, []))
                     continue
-                t = Compound(tok.text)
+                t = Compound(text)
             else:
                 self.fail("expected a term")
             while open_:
@@ -229,37 +224,52 @@ class _Parser:
 
     def _variable(self, name: str) -> Variable:
         if name == "_":
+            if self._clause_vars is None:
+                self._clause_vars = self._written_vars()
             while f"_G{self._anon}" in self._clause_vars:
                 self._anon += 1
             name = f"_G{self._anon}"
             self._anon += 1
         return Variable(name)
 
+    def _written_vars(self) -> set[str]:
+        # Names explicitly written in this clause, up to its closing "."
+        # (the tokenizer emits "." only as a clause terminator); anonymous
+        # "_" variables must not collide with them.
+        tokens = self.tokens
+        out = set()
+        i = self._clause_start
+        while (text := tokens[i][1]) != "." and text:
+            if tokens[i][0] == "var":
+                out.add(text)
+            i += 1
+        return out
+
     def _number(self) -> NumberLiteral:
         negative = self.take("-")
-        tok = self.cur
-        if tok.kind != "int":
+        tokens = self.tokens
+        kind, text, _ = tokens[self.pos]
+        if kind != "int":
             self.fail("expected a number")
-        self.advance()
-        value = Fraction(int(tok.text))
-        # "a/b" fraction literal: only when a slash directly follows.
-        if self.at("/"):
-            save = self.pos
-            self.advance()
-            if self.cur.kind == "int":
-                value = value / int(self.advance().text)
-            else:
-                self.pos = save
+        self.pos += 1
+        value: int | Fraction = int(text)
+        # "a/b" fraction literal: only when an int directly follows the slash.
+        if tokens[self.pos][1] == "/" and tokens[self.pos + 1][0] == "int":
+            _, denominator, offset = tokens[self.pos + 1]
+            if not int(denominator):
+                raise ClpSyntaxError("division by zero", *_line_col(self.text, offset))
+            value = Fraction(value, int(denominator))
+            self.pos += 2
         return NumberLiteral(-value if negative else value)
 
     # -- constraints ---------------------------------------------------------
 
     def constraint(self) -> ConstraintExpr:
-        start = self.cur
+        start = self.tokens[self.pos][2]
         lhs = self.arith()
-        if self.cur.kind != "op" or self.cur.text not in ("=", "<", "<=", "=<", ">", ">="):
+        if self.tokens[self.pos][1] not in _RELATIONS:
             self.fail("expected a relation (=, <, <=, >, >=)")
-        rel = self.advance().text
+        rel = self.advance()[1]
         if rel == "=<":
             rel = "<="
         rhs = self.arith()
@@ -268,27 +278,26 @@ class _Parser:
             to_linear(lhs)
             to_linear(rhs)
         except NonlinearityError as exc:
-            raise NonlinearityError(
-                f"{exc.args[0]} (line {start.line}, column {start.col})"
-            ) from None
+            line, col = _line_col(self.text, start)
+            raise NonlinearityError(f"{exc.args[0]} (line {line}, column {col})") from None
         return expr
 
     def arith(self) -> Term:
         t = self.arith_mul()
-        while self.cur.kind == "op" and self.cur.text in ("+", "-"):
-            op = self.advance().text
+        while (op := self.tokens[self.pos][1]) in ("+", "-"):
+            self.pos += 1
             t = Compound(op, (t, self.arith_mul()))
         return t
 
     def arith_mul(self) -> Term:
         t = self.arith_unary()
-        while self.cur.kind == "op" and self.cur.text in ("*", "/"):
-            op = self.advance().text
+        while (op := self.tokens[self.pos][1]) in ("*", "/"):
+            self.pos += 1
             rhs = self.arith_unary()
             if op == "/" and isinstance(t, NumberLiteral) and isinstance(rhs, NumberLiteral):
                 if not rhs.value:
-                    raise NonlinearityError(
-                        f"division by zero (line {self.cur.line}, column {self.cur.col})")
+                    line, col = _line_col(self.text, self.tokens[self.pos][2])
+                    raise NonlinearityError(f"division by zero (line {line}, column {col})")
                 t = NumberLiteral(t.value / rhs.value)
             else:
                 t = Compound(op, (t, rhs))
@@ -303,19 +312,18 @@ class _Parser:
         return self.arith_primary()
 
     def arith_primary(self) -> Term:
-        tok = self.cur
-        if tok.kind == "var":
-            self.advance()
-            return self._variable(tok.text)
-        if tok.kind == "int":
-            self.advance()
-            return NumberLiteral(Fraction(int(tok.text)))
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "var":
+            self.pos += 1
+            return self._variable(text)
+        if kind == "int":
+            self.pos += 1
+            return NumberLiteral(int(text))
         if self.take("("):
             t = self.arith()
             self.expect(")")
             return t
         self.fail("expected a variable, number, or parenthesized expression")
-        raise AssertionError  # unreachable
 
 
 def parse_program(text: str) -> Program:

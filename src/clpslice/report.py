@@ -70,7 +70,10 @@ class SliceReport:
 
 
 def argument_positions(tree: DerivationTree) -> frozenset[TreePosition]:
-    """The tree's executed argument positions (``DerivationTree.argument_positions``)."""
+    """The tree's executed argument positions (``DerivationTree.argument_positions``).
+
+    It stays, though ``src/`` never calls it, because the benchmark's
+    ``criteria-sweep`` workload (``perfbench/workloads.py``) does."""
     return tree.argument_positions
 
 

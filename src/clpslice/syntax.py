@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import count
 from operator import is_not
 from typing import Callable, Iterator, Union
@@ -344,21 +345,26 @@ def clause_positions(clause: Clause) -> Iterator[tuple[int, tuple[int, ...], obj
 
 class Program:
     """A parsed program: an ordered clause sequence with a total,
-    bijective table from positions to syntactic elements."""
+    bijective table from positions to syntactic elements.  The table is
+    built on first read: deriving never reads it, only program slicing,
+    position mode and ``element_at`` do."""
 
     def __init__(self, clauses: tuple[Clause, ...] | list[Clause]):
         self.clauses: tuple[Clause, ...] = tuple(clauses)
-        table: dict[ProgramPosition, object] = {}
+        by_indicator: dict[tuple[str, int], list[int]] = {}
         for ci, clause in enumerate(self.clauses):
             if clause.head is None:
                 raise ValueError(f"clause {ci} has no head; goals are parsed separately")
-            for literal, path, elem in clause_positions(clause):
-                table[ProgramPosition(ci, literal, path)] = elem
-        self.position_table: dict[ProgramPosition, object] = table
-        by_indicator: dict[tuple[str, int], list[int]] = {}
-        for ci, clause in enumerate(self.clauses):
             by_indicator.setdefault(clause.head.indicator, []).append(ci)
         self._by_indicator = by_indicator
+
+    @cached_property
+    def position_table(self) -> dict[ProgramPosition, object]:
+        return {
+            ProgramPosition(ci, literal, path): elem
+            for ci, clause in enumerate(self.clauses)
+            for literal, path, elem in clause_positions(clause)
+        }
 
     def clauses_for(self, indicator: tuple[str, int]) -> tuple[int, ...]:
         """Indices of the clauses defining a predicate, in textual order."""

@@ -177,21 +177,21 @@ class RecursiveParser(_Parser):
     """The parser with its recursive ``term`` rule."""
 
     def term(self) -> Term:
-        tok = self.cur
-        if tok.kind == "var":
+        kind, text, _ = self.tokens[self.pos]
+        if kind == "var":
             self.advance()
-            return self._variable(tok.text)
-        if tok.kind == "int" or self.at("-"):
+            return self._variable(text)
+        if kind == "int" or self.at("-"):
             return self._number()
-        if tok.kind == "name":
+        if kind == "name":
             self.advance()
             if self.take("("):
                 args = [self.term()]
                 while self.take(","):
                     args.append(self.term())
                 self.expect(")")
-                return Compound(tok.text, tuple(args))
-            return Compound(tok.text)
+                return Compound(text, tuple(args))
+            return Compound(text)
         self.fail("expected a term")
         raise AssertionError  # unreachable
 

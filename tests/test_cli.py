@@ -194,6 +194,18 @@ def test_bad_oracle_domain_is_a_usage_error(capsys):
     assert "clpslice: bad --oracle-domain 'abc'; expected LO..HI" in err
 
 
+@pytest.mark.parametrize("domain, message", [
+    ("abc", "bad --oracle-domain 'abc'; expected LO..HI"),
+    ("5..1", "bad --oracle-domain '5..1'; LO is greater than HI"),
+])
+def test_bad_oracle_domain_is_refused_before_slicing(capsys, domain, message):
+    code, out, err = run(capsys, "slice", CHAIN, "--goal", "p(X,Y,Z).",
+                         "--at", "0/1/1", f"--oracle-domain={domain}")
+    assert code == 1
+    assert out == ""
+    assert err == f"clpslice: {message}\n"
+
+
 def test_position_mode_unknown_goal_position(capsys):
     code, _, err = run(capsys, "slice", CHAIN, "--goal", "p(X,Y,Z).",
                        "--mode", "position", "--at", "g/9/1")
@@ -283,6 +295,31 @@ def test_stats_recursion_limit_fails_one_goal(tmp_path):
     rows = json.loads(out_file.read_text())["rows"]
     assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
     assert rows[1]["error"] == "recursion limit exceeded"
+    assert "2/3" in out
+
+
+def test_zero_denominator_is_a_syntax_error(tmp_path):
+    program = tmp_path / "p.clp"
+    program.write_text("p(X).\n")
+    proc = cli_process(tmp_path, "slice", str(program), "--goal", "p(1/0).", "--at", "0/1/1")
+    assert proc.returncode == 1
+    assert proc.stdout == ""
+    assert proc.stderr == "clpslice: division by zero (line 1, column 5)\n"
+    program.write_text("p(X).\nq(-1/0).\n")
+    proc = cli_process(tmp_path, "slice", str(program), "--goal", "p(1).", "--at", "0/1/1")
+    assert proc.returncode == 1
+    assert proc.stderr == "clpslice: division by zero (line 2, column 6)\n"
+
+
+def test_stats_zero_denominator_fails_one_goal(tmp_path, capsys):
+    goals = tmp_path / "goals.txt"
+    goals.write_text("p(X,Y,Z).\np(1/0).\nq(U,V).\n")
+    out_file = tmp_path / "stats.json"
+    code, out, _ = run(capsys, "stats", CHAIN, str(goals), "--json", str(out_file))
+    assert code == 0
+    rows = json.loads(out_file.read_text())["rows"]
+    assert [r["status"] for r in rows] == ["ok", "failed", "ok"]
+    assert rows[1]["error"] == "division by zero (line 1, column 5)"
     assert "2/3" in out
 
 
