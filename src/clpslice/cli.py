@@ -11,6 +11,8 @@ Two subcommands:
 
 A slice follows the dependency edges that the tree's observed
 groundness leaves open; ``--undirected`` follows every edge.
+``--all-solutions K`` unions the slices of the first K proof trees and
+needs K >= 1, as ``--depth N`` needs N >= 1.
 
 Exit codes: 0 success, 1 usage or input error (including an oracle
 domain that holds no solution of the store, and input that exhausts
@@ -189,7 +191,7 @@ def _cmd_slice(args: argparse.Namespace) -> int:
     program = _read_program(args.program)
     goal = parse_goal(args.goal)
     solutions = derive(program, goal, depth_limit=args.depth,
-                       max_solutions=max(1, args.all_solutions))
+                       max_solutions=args.all_solutions)
 
     if args.mode == "position":
         q = parse_program_address(args.at)

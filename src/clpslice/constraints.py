@@ -20,6 +20,10 @@ triangular substitution, a numeric equality is one Gauss-Jordan pivot
 step, an inequality is reduced by the pivots and kept, and
 Fourier-Motzkin runs again only when the kept inequalities changed.
 The SLD engine extends a parent's state at every step.
+
+``dep_classes`` and ``class_slice`` find variable-sharing classes by
+one search: from a variable, over an index of the constraints each
+variable occurs in.
 """
 
 from __future__ import annotations
@@ -287,15 +291,6 @@ def _unify(subst: dict[str, Term], pairs: Iterable[tuple[Term, Term]]) -> list[s
     return bound
 
 
-def _unify_all(pairs: Iterable[tuple[Term, Term]]) -> dict[str, Term] | None:
-    subst: dict[str, Term] = {}
-    return subst if _unify(subst, pairs) is not None else None
-
-
-def _deep_resolve(t: Term, subst: dict[str, Term]) -> Term:
-    return map_term(t, lambda s: _walk(s, subst))
-
-
 def _resolve(t: Term, bindings: dict[str, Term], pivots: dict[str, LinExpr]) -> Term:
     """``t`` under a triangular substitution, with every variable left
     free but pinned to a constant by the pivots replaced by its value."""
@@ -390,10 +385,10 @@ def satisfiable(store: ConstraintStore) -> SolvedForm:
     unsat = SolvedForm(Satisfiability.UNSAT, store.vars)
 
     pairs = [(c.lhs, c.rhs) for c in store if isinstance(c, TermEquation)]
-    subst = _unify_all(pairs)
-    if subst is None:
+    subst: dict[str, Term] = {}
+    if _unify(subst, pairs) is None:
         return unsat
-    herbrand = {v: _deep_resolve(Variable(v), subst) for v in subst}
+    herbrand = {v: _resolve(Variable(v), subst, {}) for v in subst}
 
     equalities: list[LinExpr] = []
     inequalities: list[tuple[LinExpr, bool]] = []
@@ -630,50 +625,43 @@ class SolvedState:
 # ---------------------------------------------------------------------------
 # Variable dependency classes
 
-class _UnionFind:
-    def __init__(self) -> None:
-        self.parent: dict = {}
-
-    def add(self, x) -> None:
-        self.parent.setdefault(x, x)
-
-    def find(self, x):
-        self.add(x)
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a, b) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[rb] = ra
-
-    def classes(self) -> frozenset[frozenset]:
-        groups: dict = {}
-        for x in self.parent:
-            groups.setdefault(self.find(x), set()).add(x)
-        return frozenset(frozenset(g) for g in groups.values())
+def _sharing_search(store: ConstraintStore,
+                    starts: Iterable[str]) -> Iterator[tuple[set[str], set[int]]]:
+    """One variable-sharing search from each start not reached before:
+    the variables of its class and the indices of the store constraints
+    it reaches.  The variable -> constraint index is built once per call,
+    so each constraint's variables are computed once."""
+    cvars = [c.variables() for c in store]
+    index: dict[str, list[int]] = {}
+    for i, vs in enumerate(cvars):
+        for v in vs:
+            index.setdefault(v, []).append(i)
+    seen: set[str] = set()
+    for x in starts:
+        if x in seen:
+            continue
+        cls, reached, stack = {x}, set(), [x]
+        while stack:
+            for i in index[stack.pop()]:
+                if i not in reached:
+                    reached.add(i)
+                    new = cvars[i] - cls
+                    cls |= new
+                    stack.extend(new)
+        seen |= cls
+        yield cls, reached
 
 
 def dep_classes(store: ConstraintStore) -> frozenset[frozenset[str]]:
     """Equivalence classes of the transitive closure of variable
     co-occurrence within a constraint."""
-    uf = _UnionFind()
-    for v in store.vars:
-        uf.add(v)
-    for c in store:
-        cvars = sorted(c.variables())
-        for other in cvars[1:]:
-            uf.union(cvars[0], other)
-    return uf.classes()
+    return frozenset(frozenset(cls) for cls, _ in _sharing_search(store, store.vars))
 
 
 def class_slice(store: ConstraintStore, x: str) -> ConstraintStore:
-    """All constraints whose variables meet the dependency class of x."""
+    """All constraints whose variables meet the dependency class of x, in
+    store order."""
     if x not in store.vars:
         raise ValueError(f"unknown variable {x!r}")
-    cls = next(c for c in dep_classes(store) if x in c)
-    return ConstraintStore(c for c in store if c.variables() & cls)
+    _, reached = next(_sharing_search(store, [x]))
+    return ConstraintStore(c for i, c in enumerate(store) if i in reached)

@@ -238,6 +238,14 @@ def test_all_solutions_union(capsys):
     assert code == 0
 
 
+def test_all_solutions_below_one_is_a_usage_error(capsys):
+    code, out, err = run(capsys, "slice", str(corpus_path("sum.clp")),
+                         "--goal", "sum(3,S).", "--at", "0/1/2", "--all-solutions", "0")
+    assert code == 1
+    assert out == ""
+    assert err == "clpslice: max_solutions must be at least 1 (or None for all)\n"
+
+
 def test_stats_table(capsys):
     goals = str(corpus_path("chain.goals"))
     code, out, _ = run(capsys, "stats", CHAIN, goals)

@@ -7,17 +7,24 @@ from hypothesis import strategies as st
 from clpslice import (
     Compound,
     ConstraintStore,
+    NoSolution,
     NumberLiteral,
     Satisfiability,
     TermEquation,
     Variable,
     class_slice,
+    corpus_path,
     dep_classes,
+    derive,
     ground_vars,
+    parse_goal,
+    parse_program,
     satisfiable,
 )
+import class_reference
 from conftest import store_of
-from genutil import random_store
+from derive_pins import CORPUS_PROGRAMS
+from genutil import random_program, random_store
 
 import random
 
@@ -165,6 +172,60 @@ def test_class_slice_example_store():
     assert class_slice(singleton, "X") == singleton
     with pytest.raises(ValueError):
         class_slice(store, "Nope")
+
+
+def test_classes_of_term_equations_and_variable_free_constraints():
+    store = ConstraintStore(
+        [TermEquation(Variable("X"), Compound("f", (Variable("Y"), Variable("Z"))))]
+    ).union(store_of("{1=1, W=2}."))
+    assert dep_classes(store) == frozenset([frozenset("XYZ"), frozenset("W")])
+    term_eq = store.constraints[0]
+    assert class_slice(store, "Y").constraints == (term_eq,)
+    assert class_slice(store, "W") == store_of("{W=2}.")
+    one_is_one = next(iter(store_of("{1=1}.")))
+    assert not any(one_is_one in class_slice(store, x) for x in store.vars)
+
+
+def _agrees_with_union_find(store: ConstraintStore) -> int:
+    """Check the classes and every class slice, set and order, against
+    the union-find reference; the number of slices checked."""
+    assert dep_classes(store) == class_reference.dep_classes(store)
+    for x in sorted(store.vars):
+        assert (class_slice(store, x).constraints
+                == class_reference.class_slice(store, x).constraints), (store, x)
+    return len(store.vars)
+
+
+def _corpus_stores():
+    for name in CORPUS_PROGRAMS:
+        program = parse_program(corpus_path(f"{name}.clp").read_text())
+        for line in corpus_path(f"{name}.goals").read_text().splitlines():
+            if line.strip() and not line.strip().startswith("%"):
+                try:
+                    solutions = derive(program, parse_goal(line), max_solutions=3)
+                except NoSolution:
+                    continue
+                yield from (sol.tree.store for sol in solutions)
+
+
+def _random_program_stores(count: int):
+    rng = random.Random(7)
+    produced = 0
+    while produced < count:
+        program, goal = random_program(rng)
+        try:
+            yield derive(program, goal, depth_limit=8)[0].tree.store
+        except NoSolution:
+            continue
+        produced += 1
+
+
+def test_classes_match_union_find_reference():
+    stores = [random_store(random.Random(seed)) for seed in range(300)]
+    stores += _corpus_stores()
+    stores += _random_program_stores(120)
+    slices = sum(_agrees_with_union_find(store) for store in stores)
+    assert len(stores) > 400 and slices > 1400
 
 
 def test_store_merges_origins():

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 import term_reference as ref
-from clpslice.constraints import SolvedState, _deep_resolve, _occurs
+from clpslice.constraints import SolvedState, _occurs, _resolve
 from clpslice.linexpr import LinExpr, NonlinearityError, to_linear
 from clpslice.parser import ClpSyntaxError, _Parser, parse_goal
 from clpslice.syntax import (
@@ -119,7 +119,7 @@ def test_resolution_matches_recursive_references():
                     else (Compound("a") if isinstance(s, Variable) else s))
         pivots = {"W": LinExpr({}, Fraction(4))} if "W" not in subst else {}
         t = random_term(rng, 4)
-        assert _deep_resolve(t, subst) == ref.deep_resolve(t, subst)
+        assert _resolve(t, subst, {}) == ref.deep_resolve(t, subst)
         state = SolvedState()
         state.bindings, state.pivots = subst, pivots
         resolved = state.resolve_term(t)
@@ -237,7 +237,7 @@ def test_deep_numeral_resolution():
     assert render_term(state.resolve_term(Variable("Y"))) == "s(" * (DEEP + 1) + "z" + ")" * (DEEP + 1)
     assert state.is_ground(Variable("Y"))
     assert _occurs("Q", Variable("Y"), state.bindings) is False
-    assert render_term(_deep_resolve(Variable("Y"), state.bindings)) == render_term(
+    assert render_term(_resolve(Variable("Y"), state.bindings, {})) == render_term(
         state.resolve_term(Variable("Y")))
     # every path of the pattern s(X) into the resolved numeral is ground
     assert sorted(ground_paths(Compound("s", (Variable("X"),)),
