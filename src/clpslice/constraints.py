@@ -13,13 +13,15 @@ Groundness detection is deliberately syntactic: a variable counts as
 ground only when the solved form certifies a unique value through
 equalities (a pair of opposing inequalities does not).
 
-``satisfiable`` solves a whole store at once and is the reference.
-``SolvedState`` reaches the same verdicts and the same groundness one
+One decision procedure, ``SolvedState``, solves a store one
 constraint at a time: a term equation unifies into a copy of its
 triangular substitution, a numeric equality is one Gauss-Jordan pivot
 step, an inequality is reduced by the pivots and kept, and
 Fourier-Motzkin runs again only when the kept inequalities changed.
-The SLD engine extends a parent's state at every step.
+The SLD engine extends a parent's state at every step;
+``satisfiable`` solves a whole store by extending the empty state and
+reads the result as a ``SolvedForm``.  The batch solver it replaced
+lives in ``tests/solver_reference.py`` as the differential reference.
 
 ``dep_classes`` and ``class_slice`` find variable-sharing classes by
 one search: from a variable, over an index of the constraints each
@@ -99,7 +101,7 @@ class ConstraintStore:
                 merged[c] = c.origin
                 order.append(c)
         self.constraints: tuple[StoreConstraint, ...] = tuple(
-            replace(c, origin=merged[c]) for c in order
+            c if merged[c] is c.origin else replace(c, origin=merged[c]) for c in order
         )
         self.vars: frozenset[str] = frozenset().union(
             *(c.variables() for c in self.constraints))
@@ -167,7 +169,10 @@ class SolvedForm:
 
     ``herbrand_bindings`` is an idempotent substitution; ``pivots`` maps
     each eliminated numeric variable to an affine form over free
-    variables; ``residual`` holds the substituted inequalities, each as
+    variables.  It holds variables of the linear system only: a variable
+    that a term equation binds (to a number or to another variable) is
+    not a key, and is resolved through ``herbrand_bindings``.
+    ``residual`` holds the substituted inequalities, each as
     ``expr <= 0`` (strict flag set for ``<``).
     """
 
@@ -176,9 +181,6 @@ class SolvedForm:
     herbrand_bindings: dict[str, Term] = field(default_factory=dict)
     pivots: dict[str, LinExpr] = field(default_factory=dict)
     residual: tuple[tuple[LinExpr, bool], ...] = ()
-    _fm_order: tuple[tuple[str, tuple[tuple[LinExpr, bool], ...]], ...] = field(
-        default=(), repr=False
-    )
 
     @property
     def is_sat(self) -> bool:
@@ -197,15 +199,20 @@ class SolvedForm:
         return resolved if not vars_of_term(resolved) else None
 
     def sample_valuation(self) -> dict[str, Fraction]:
-        """One rational witness for the numeric part of the store.
+        """One rational witness for the numeric part of the store: a
+        value for every store variable not bound to a compound term.
 
-        Free variables are chosen by walking the Fourier-Motzkin
-        elimination back to front; pivots follow by substitution.
+        Free variables start at 0.  Those of the residual are then chosen
+        by walking its Fourier-Motzkin elimination back to front (one that
+        a combination cancelled keeps 0), and pivots follow by
+        substitution.  A variable bound by a term equation takes its
+        number or its representative's value.
         """
         if not self.is_sat:
             raise ValueError("no valuation for an unsatisfiable store")
-        values: dict[str, Fraction] = {}
-        for var, bounds in reversed(self._fm_order):
+        forms = [*(expr for expr, _ in self.residual), *self.pivots.values()]
+        values = {v: Fraction(0) for form in forms for v in form.coeffs}
+        for var, bounds in reversed(_fourier_motzkin(list(self.residual))[1]):
             lo: tuple[Fraction, bool] | None = None
             hi: tuple[Fraction, bool] | None = None
             for expr, strict in bounds:
@@ -219,12 +226,14 @@ class SolvedForm:
                     if hi is None or bound < hi[0] or (bound == hi[0] and strict):
                         hi = (bound, strict)
             values[var] = _pick_value(lo, hi)
-        # Numeric variables untouched by any inequality default to zero.
-        for var, form in self.pivots.items():
-            for free in form.coeffs:
-                values.setdefault(free, Fraction(0))
         for var, form in self.pivots.items():
             values[var] = form.evaluate(values)
+        for var in self.vars:
+            value = self.herbrand_bindings.get(var, Variable(var))
+            if isinstance(value, NumberLiteral):
+                values[var] = value.value
+            elif isinstance(value, Variable):
+                values[var] = values.setdefault(value.name, Fraction(0))
         return values
 
 
@@ -320,25 +329,6 @@ def constraint_linear(expr: ConstraintExpr) -> tuple[LinExpr, str]:
     return diff, rel
 
 
-def _gauss_jordan(equalities: list[LinExpr]) -> dict[str, LinExpr] | None:
-    """Pivot dictionary var -> affine form over free variables, or None."""
-    pivots: dict[str, LinExpr] = {}
-    for eq in equalities:
-        for var, form in pivots.items():
-            eq = eq.substitute(var, form)
-        if eq.is_constant:
-            if eq.const:
-                return None
-            continue
-        var = min(eq.coeffs)
-        coef = eq.coeffs[var]
-        rest = LinExpr({v: c for v, c in eq.coeffs.items() if v != var}, eq.const)
-        form = rest.scale(Fraction(-1) / coef)
-        pivots = {v: f.substitute(var, form) for v, f in pivots.items()}
-        pivots[var] = form
-    return pivots
-
-
 def _fourier_motzkin(
     inequalities: list[tuple[LinExpr, bool]]
 ) -> tuple[bool, tuple[tuple[str, tuple[tuple[LinExpr, bool], ...]], ...]]:
@@ -381,70 +371,18 @@ def _fourier_motzkin(
 
 
 def satisfiable(store: ConstraintStore) -> SolvedForm:
-    """Decide a mixed store; Unsat is a verdict, never an exception."""
-    unsat = SolvedForm(Satisfiability.UNSAT, store.vars)
+    """Decide a mixed store; Unsat is a verdict, never an exception.
 
-    pairs = [(c.lhs, c.rhs) for c in store if isinstance(c, TermEquation)]
-    subst: dict[str, Term] = {}
-    if _unify(subst, pairs) is None:
-        return unsat
-    herbrand = {v: _resolve(Variable(v), subst, {}) for v in subst}
-
-    equalities: list[LinExpr] = []
-    inequalities: list[tuple[LinExpr, bool]] = []
-    for c in store:
-        if not isinstance(c, NumericConstraint):
-            continue
-        form, rel = constraint_linear(c.expr)
-        substituted = LinExpr({}, form.const)
-        for var, coef in form.coeffs.items():
-            rep = _walk(Variable(var), subst)
-            if isinstance(rep, Variable):
-                substituted += LinExpr({rep.name: coef})
-            elif isinstance(rep, NumberLiteral):
-                substituted += LinExpr.of_const(coef * rep.value)
-            else:
-                # a numerically constrained variable equated to a
-                # non-numeric term can take no rational value
-                return unsat
-        if rel == "=":
-            equalities.append(substituted)
-        else:
-            inequalities.append((substituted, rel == "<"))
-    # Variables Herbrand-bound to numbers feed the linear system too.
-    for var, bound in herbrand.items():
-        if isinstance(bound, NumberLiteral):
-            equalities.append(LinExpr({var: Fraction(1)}, -bound.value))
-
-    pivots = _gauss_jordan(equalities)
-    if pivots is None:
-        return unsat
-
-    residual = []
-    seen = set()
-    for expr, strict in inequalities:
-        for var, form in pivots.items():
-            expr = expr.substitute(var, form)
-        if expr.is_constant:
-            if expr.const > 0 or (strict and expr.const == 0):
-                return unsat
-            continue
-        key = (expr.normalized(), strict)
-        if key not in seen:
-            seen.add(key)
-            residual.append((expr, strict))
-
-    ok, fm_order = _fourier_motzkin(residual)
-    if not ok:
-        return unsat
-    return SolvedForm(
-        Satisfiability.SAT,
-        store.vars,
-        herbrand,
-        pivots,
-        tuple(residual),
-        fm_order,
-    )
+    The term equations are posted before the numeric constraints, so the
+    linear system is built over the unifier's representatives at once.
+    """
+    state = SolvedState().extend(
+        sorted(store, key=lambda c: isinstance(c, NumericConstraint)))
+    if state is None:
+        return SolvedForm(Satisfiability.UNSAT, store.vars)
+    herbrand = {v: _resolve(Variable(v), state.bindings, {}) for v in state.bindings}
+    return SolvedForm(Satisfiability.SAT, store.vars, herbrand, state.pivots,
+                      tuple(state.residual.values()))
 
 
 def ground_vars(solved: SolvedForm) -> dict[str, Term]:
@@ -481,14 +419,15 @@ class SolvedState:
       pivots, each ``expr <= 0`` (``< 0`` when strict), keyed by the
       normalized form so duplicates collapse.
 
-    Contract with ``satisfiable``: for any constraint sequence,
-    ``SolvedState().extend(cs)`` is None exactly when
-    ``satisfiable(ConstraintStore(cs))`` is UNSAT; otherwise
-    ``is_ground`` and ``ground_value`` agree with the SolvedForm's, and
-    ``resolve_term`` agrees up to which variable represents a class of
-    unbound variables.  Groundness stays basis-independent because a
-    variable is pinned by the equalities iff it is a pivot with a
-    constant form.
+    Contract with the batch reference in ``tests/solver_reference.py``:
+    for any constraint sequence, ``SolvedState().extend(cs)`` is None
+    exactly when the reference finds ``ConstraintStore(cs)`` UNSAT;
+    otherwise ``is_ground`` and ``ground_value`` agree with its
+    SolvedForm's, and ``resolve_term`` agrees up to which variable
+    represents a class of unbound variables.  So the order in which
+    constraints are posted changes neither.  Groundness stays
+    basis-independent because a variable is pinned by the equalities iff
+    it is a pivot with a constant form.
     """
 
     __slots__ = ("bindings", "numeric", "pivots", "residual")

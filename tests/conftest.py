@@ -1,11 +1,22 @@
 from __future__ import annotations
 
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from clpslice import ConstraintStore, NumericConstraint, TermEquation, parse_goal
+from clpslice import (
+    ConstraintStore,
+    NoSolution,
+    NumericConstraint,
+    TermEquation,
+    corpus_path,
+    derive,
+    parse_goal,
+    parse_program,
+)
+from clpslice.constraints import constraint_linear
 from clpslice.syntax import (
     Compound,
     ConstraintExpr,
@@ -14,6 +25,8 @@ from clpslice.syntax import (
     Variable,
     parse_tree_address,
 )
+from derive_pins import CORPUS_PROGRAMS
+from genutil import random_program
 
 
 def store_of(text: str) -> ConstraintStore:
@@ -22,6 +35,43 @@ def store_of(text: str) -> ConstraintStore:
     return ConstraintStore(
         NumericConstraint(item) for item in goal.body if isinstance(item, ConstraintExpr)
     )
+
+
+def assert_witness(store: ConstraintStore, valuation: dict) -> None:
+    """``valuation`` satisfies every numeric constraint of ``store``."""
+    for c in store:
+        if isinstance(c, NumericConstraint):
+            form, rel = constraint_linear(c.expr)
+            value = form.evaluate(valuation)
+            assert value == 0 if rel == "=" else value < 0 if rel == "<" else value <= 0, c
+
+
+def corpus_tree_stores():
+    """The proof-tree store of each of the first three solutions of
+    every corpus goal."""
+    for name in CORPUS_PROGRAMS:
+        program = parse_program(corpus_path(f"{name}.clp").read_text())
+        for line in corpus_path(f"{name}.goals").read_text().splitlines():
+            if line.strip() and not line.strip().startswith("%"):
+                try:
+                    solutions = derive(program, parse_goal(line), max_solutions=3)
+                except NoSolution:
+                    continue
+                yield from (sol.tree.store for sol in solutions)
+
+
+def random_program_stores(count: int):
+    """The first proof-tree store of ``count`` seeded
+    ``genutil.random_program`` goals that have one."""
+    rng = random.Random(7)
+    produced = 0
+    while produced < count:
+        program, goal = random_program(rng)
+        try:
+            yield derive(program, goal, depth_limit=8)[0].tree.store
+        except NoSolution:
+            continue
+        produced += 1
 
 
 def dot_arcs(dot: str) -> set:

@@ -7,24 +7,24 @@ from hypothesis import strategies as st
 from clpslice import (
     Compound,
     ConstraintStore,
-    NoSolution,
     NumberLiteral,
     Satisfiability,
     TermEquation,
     Variable,
     class_slice,
-    corpus_path,
     dep_classes,
-    derive,
     ground_vars,
-    parse_goal,
-    parse_program,
     satisfiable,
 )
 import class_reference
-from conftest import store_of
-from derive_pins import CORPUS_PROGRAMS
-from genutil import random_program, random_store
+from conftest import (
+    assert_witness,
+    corpus_tree_stores,
+    random_program_stores,
+    store_of,
+    teq,
+)
+from genutil import random_store
 
 import random
 
@@ -137,17 +137,31 @@ def test_solved_form_invariants():
             assert var not in expr.coeffs
 
 
-def test_sample_valuation_satisfies_store():
-    store = store_of("{X = Y + 1, Y <= Z, Z < 4, X >= 0, Z > -10}.")
-    solved = satisfiable(store)
-    valuation = solved.sample_valuation()
-    from clpslice.constraints import NumericConstraint, constraint_linear
+# beside a plain numeric store, stores whose witness needs more than the
+# free and pivot variables of the linear system: variables a term
+# equation binds, and one that a Fourier-Motzkin combination cancels
+WITNESS_STORES = (
+    [*store_of("{X = Y + 1, Y <= Z, Z < 4, X >= 0, Z > -10}.")],
+    [teq("X", "Y"), *store_of("{X >= 1}.")],
+    [teq("X", "Y"), *store_of("{X - Y = 0}.")],
+    [teq("Z", 3)],
+    [*store_of("{X + Y >= 1, X + Y <= 2}.")],
+)
 
-    for c in store:
-        assert isinstance(c, NumericConstraint)
-        form, rel = constraint_linear(c.expr)
-        value = form.evaluate(valuation)
-        assert (value == 0) if rel == "=" else (value < 0 if rel == "<" else value <= 0)
+
+def test_sample_valuation_satisfies_store():
+    for store in map(ConstraintStore, WITNESS_STORES):
+        valuation = satisfiable(store).sample_valuation()
+        assert set(valuation) == store.vars, store
+        assert_witness(store, valuation)
+    for store in WITNESS_STORES[1:3]:
+        valuation = satisfiable(ConstraintStore(store)).sample_valuation()
+        assert valuation["X"] == valuation["Y"]
+    assert satisfiable(ConstraintStore(WITNESS_STORES[3])).sample_valuation() == {"Z": 3}
+    stores = list(corpus_tree_stores())
+    assert len(stores) > 10
+    for store in stores:
+        assert_witness(store, satisfiable(store).sample_valuation())
 
 
 def test_dep_classes_example_store():
@@ -196,34 +210,10 @@ def _agrees_with_union_find(store: ConstraintStore) -> int:
     return len(store.vars)
 
 
-def _corpus_stores():
-    for name in CORPUS_PROGRAMS:
-        program = parse_program(corpus_path(f"{name}.clp").read_text())
-        for line in corpus_path(f"{name}.goals").read_text().splitlines():
-            if line.strip() and not line.strip().startswith("%"):
-                try:
-                    solutions = derive(program, parse_goal(line), max_solutions=3)
-                except NoSolution:
-                    continue
-                yield from (sol.tree.store for sol in solutions)
-
-
-def _random_program_stores(count: int):
-    rng = random.Random(7)
-    produced = 0
-    while produced < count:
-        program, goal = random_program(rng)
-        try:
-            yield derive(program, goal, depth_limit=8)[0].tree.store
-        except NoSolution:
-            continue
-        produced += 1
-
-
 def test_classes_match_union_find_reference():
     stores = [random_store(random.Random(seed)) for seed in range(300)]
-    stores += _corpus_stores()
-    stores += _random_program_stores(120)
+    stores += corpus_tree_stores()
+    stores += random_program_stores(120)
     slices = sum(_agrees_with_union_find(store) for store in stores)
     assert len(stores) > 400 and slices > 1400
 

@@ -1,18 +1,26 @@
-"""Differential property: the incremental ``SolvedState`` against the
-whole-store reference ``satisfiable`` on every prefix of random mixed
-stores (linear constraints from ``genutil.random_store`` plus term
-equations)."""
+"""Differential properties against the whole-store reference
+``solver_reference.batch_satisfiable``: the incremental ``SolvedState``
+on every prefix of random mixed stores (linear constraints from
+``genutil.random_store`` plus term equations), and ``satisfiable`` on
+proof-tree stores."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from clpslice import ConstraintStore, TermEquation, satisfiable
+from clpslice import ConstraintStore, TermEquation, ground_vars, satisfiable
 from clpslice.constraints import SolvedState
 from clpslice.syntax import Compound, NumberLiteral, Term, Variable
-from conftest import store_of, teq
+from conftest import (
+    assert_witness,
+    corpus_tree_stores,
+    random_program_stores,
+    store_of,
+    teq,
+)
 from genutil import VAR_POOL, random_store
+from solver_reference import batch_satisfiable
 
 HERBRAND_ONLY = ("H", "K")
 EQUATION_KINDS = ("var-var", "var-num", "var-compound", "compound-compound",
@@ -80,7 +88,7 @@ def test_incremental_state_matches_whole_store_solver():
         linear: dict = {}
         state: SolvedState | None = SolvedState()
         for i, (kind, c) in enumerate(mixed, start=1):
-            reference = satisfiable(ConstraintStore(store[:i]))
+            reference = batch_satisfiable(ConstraintStore(store[:i]))
             if state is not None:
                 before = _answers(state, names)
                 new = state.extend([c], linear)
@@ -122,10 +130,23 @@ CANCELLING = (
 def test_cancelling_occurrences_match_whole_store_solver():
     for store in CANCELLING:
         state = SolvedState().extend(store, {})
-        reference = satisfiable(ConstraintStore(store))
+        reference = batch_satisfiable(ConstraintStore(store))
         assert (state is not None) == reference.is_sat, store
         if state is None:
             continue
         for v in sorted(ConstraintStore(store).vars):
             assert state.ground_value(Variable(v)) == reference.ground_value(Variable(v)), (store, v)
     assert SolvedState().extend(CANCELLING[0], {}).ground_value(Variable("X")) == NumberLiteral(3)
+
+
+def test_whole_store_solve_matches_batch_reference_on_tree_stores():
+    stores = [*corpus_tree_stores(), *random_program_stores(400)]
+    for i, store in enumerate(stores):
+        solved, reference = satisfiable(store), batch_satisfiable(store)
+        assert solved.is_sat == reference.is_sat, i
+        if not solved.is_sat:
+            continue
+        assert ground_vars(solved) == ground_vars(reference), i
+        for v in store.vars:
+            assert solved.is_ground(Variable(v)) == reference.is_ground(Variable(v)), (i, v)
+        assert_witness(store, solved.sample_valuation())
