@@ -32,6 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, Iterator, Union
 
@@ -112,19 +113,22 @@ class ConstraintStore:
     def __len__(self) -> int:
         return len(self.constraints)
 
+    @cached_property
+    def _members(self) -> frozenset[StoreConstraint]:
+        """The constraints as a hash set, built on first membership test."""
+        return frozenset(self.constraints)
+
     def __contains__(self, c: StoreConstraint) -> bool:
-        return c in set(self.constraints)
+        return c in self._members
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, ConstraintStore) and set(self.constraints) == set(
-            other.constraints
-        )
+        return isinstance(other, ConstraintStore) and self._members == other._members
 
     def __repr__(self) -> str:
         return "{" + ", ".join(str(c) for c in self.constraints) + "}"
 
     def issubset(self, other: "ConstraintStore") -> bool:
-        return set(self.constraints) <= set(other.constraints)
+        return self._members <= other._members
 
     def union(self, extra: Iterable[StoreConstraint]) -> "ConstraintStore":
         return ConstraintStore((*self.constraints, *extra))
@@ -415,6 +419,10 @@ class SolvedState:
       and whatever those were later bound to;
     * ``pivots``: a fully reduced pivot dictionary, every form over
       free (non-pivot) variables only;
+    * ``occ``: the occurrence index of ``pivots``, mapping each free
+      variable to the frozenset of pivots whose forms mention it (no
+      empty entries), so a new pivot rewrites only the forms it occurs
+      in;
     * ``residual``: the non-constant inequalities rewritten by the
       pivots, each ``expr <= 0`` (``< 0`` when strict), keyed by the
       normalized form so duplicates collapse.
@@ -430,12 +438,13 @@ class SolvedState:
     it is a pivot with a constant form.
     """
 
-    __slots__ = ("bindings", "numeric", "pivots", "residual")
+    __slots__ = ("bindings", "numeric", "pivots", "occ", "residual")
 
     def __init__(self) -> None:
         self.bindings: dict[str, Term] = {}
         self.numeric: set[str] = set()
         self.pivots: dict[str, LinExpr] = {}
+        self.occ: dict[str, frozenset[str]] = {}
         self.residual: dict[tuple, tuple[LinExpr, bool]] = {}
 
     def extend(self, constraints: Iterable[StoreConstraint],
@@ -450,6 +459,7 @@ class SolvedState:
         new.bindings = dict(self.bindings)
         new.numeric = set(self.numeric)
         new.pivots = dict(self.pivots)
+        new.occ = dict(self.occ)
         new.residual = dict(self.residual)
         for c in constraints:
             ok = (new._equate(c.lhs, c.rhs) if isinstance(c, TermEquation)
@@ -534,7 +544,8 @@ class SolvedState:
 
     def _pivot(self, row: LinExpr) -> bool:
         """One Gauss-Jordan step for ``row = 0``: rewrite only the
-        pivots and residual rows that mention the new pivot."""
+        pivots (found through ``occ``) and residual rows that mention the
+        new pivot."""
         row = self._reduce(row)
         if row.is_constant:
             return not row.const
@@ -542,10 +553,23 @@ class SolvedState:
         coef = row.coeffs[var]
         rest = LinExpr({v: c for v, c in row.coeffs.items() if v != var}, row.const)
         form = rest.scale(Fraction(-1) / coef)
-        for v, f in self.pivots.items():
-            if var in f.coeffs:
-                self.pivots[v] = f.substitute(var, form)
-        self.pivots[var] = form
+        pivots, occ = self.pivots, self.occ
+        # only a variable of ``form`` can enter a rewritten form or cancel
+        # out of one; each such entry is updated once, by set operations
+        entered: dict[str, set[str]] = {v: {var} for v in form.coeffs}
+        left: dict[str, set[str]] = {v: set() for v in form.coeffs}
+        for p in occ.pop(var, ()):
+            old = pivots[p].coeffs
+            pivots[p] = pivots[p].substitute(var, form)
+            new = pivots[p].coeffs
+            for v in form.coeffs:
+                if v not in old:
+                    entered[v].add(p)
+                elif v not in new:
+                    left[v].add(p)
+        pivots[var] = form
+        for v in form.coeffs:
+            occ[v] = (occ.get(v, frozenset()) - left[v]) | entered[v]
         if any(var in expr.coeffs for expr, _ in self.residual.values()):
             rows, self.residual = self.residual.values(), {}
             for expr, strict in rows:

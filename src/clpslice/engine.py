@@ -14,15 +14,24 @@ pushes one choice point per matching clause, holding the rest of the
 agenda, the caller's ``SolvedState`` (see ``constraints``) and the
 lengths of the node and event lists; resuming one only truncates both
 lists to those lengths.  A skeleton is built from the parent links,
-once per returned tree.  The store is never re-solved from scratch:
-each agenda step extends the current state by what it adds, one body
-constraint for a post and the edge equations for a call, and extension
-never changes the state it starts from.  The largest satisfiable
-partial skeleton, kept for ``NoSolution`` as a copy of the node list,
-is judged exactly without building its store: every attached node's
-clause constraint is either posted already or a pending ``post`` step
-of the agenda, so the current state extended by those pending
-constraints is the skeleton's whole constraint set.
+once per returned tree.  A branch's store is never re-solved from
+scratch: each agenda step extends the current state by what it adds,
+one body constraint for a post and the edge equations for a call, and
+extension never changes the state it starts from.
+
+``NoSolution`` carries the largest satisfiable partial skeleton, the
+earliest among equals, as a copy of the node list.  Until the first
+solution, each attached node makes the current prefix of the node list
+a candidate, recorded as its node count on a stack that backtracking
+cuts back with the nodes; recording checks nothing.  When backtracking
+drops candidates, and when the search ends with no solution, they are
+judged largest first, and judging stops at the first that is
+satisfiable and larger than the deepest tree so far.  A candidate is
+judged by solving its nodes' edge equations and clause constraints from
+scratch, so no solver state is kept per candidate.  Along one branch
+candidate sizes strictly increase, so an earlier candidate is always
+dropped before a later one of the same size exists.  A derivation
+that reaches its first solution without backtracking judges nothing.
 
 While searching, the engine logs groundness observations that later
 drive directional slicing:
@@ -46,6 +55,7 @@ of its subtree, and built by extending its first child's cached state.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -163,20 +173,36 @@ def _edge_equations(parent: int, literal: int, atom: Atom,
 
 class DerivationTree:
     """A skeleton whose constraint set is satisfiable, with position
-    tables and the natural map from tree to program/goal positions."""
+    tables and the natural map from tree to program/goal positions.
+
+    ``pos_table`` (tree position -> element) and ``phi`` (tree position
+    -> program position) are built together the first time either is
+    read, as ``Program.position_table`` is: a derivation returns trees
+    whose tables only slicing reads.
+    """
 
     def __init__(self, skeleton: Skeleton, store: ConstraintStore | None = None):
         self.skeleton = skeleton
         self.store = constraints_of(skeleton) if store is None else store
+
+    @cached_property
+    def _tables(self) -> tuple[dict[TreePosition, object], dict[TreePosition, ProgramPosition]]:
         pos_table: dict[TreePosition, object] = {}
         phi: dict[TreePosition, ProgramPosition] = {}
-        for node in skeleton.nodes:
+        for node in self.skeleton.nodes:
             for literal, path, elem in clause_positions(node.label):
                 tp = TreePosition(node.index, literal, path)
                 pos_table[tp] = elem
                 phi[tp] = ProgramPosition(node.clause, literal, path)
-        self.pos_table = pos_table
-        self.phi = phi
+        return pos_table, phi
+
+    @property
+    def pos_table(self) -> dict[TreePosition, object]:
+        return self._tables[0]
+
+    @property
+    def phi(self) -> dict[TreePosition, ProgramPosition]:
+        return self._tables[1]
 
     @cached_property
     def argument_positions(self) -> frozenset[TreePosition]:
@@ -340,17 +366,18 @@ class _Derivation:
         self.local: list[tuple[SolvedState, int] | None] = []
         self.events: list[GroundEvent] = []
         self.solutions: list[Solution] = []
+        # node counts of the unjudged deepest-tree candidates, ascending
+        self.candidates: list[int] = []
         self.deepest: list[_SearchNode] = []
         self.depth_hit = False
 
     def run(self, goal: Clause) -> list[Solution]:
         self.nodes.append(_SearchNode(0, GOAL_CLAUSE, goal, None, None, 0))
         self.local.append(None)
-        agenda = self._node_agenda(0, goal, None)
-        solved = SolvedState()
-        self._record_deepest(solved, agenda)
-        self._search(agenda, solved)
+        self.candidates.append(1)
+        self._search(self._node_agenda(0, goal, None), SolvedState())
         if not self.solutions:
+            self._judge(self.candidates)
             deepest = DerivationTree(_skeleton(self.deepest)) if self.deepest else None
             reason = ("depth limit exceeded with no proof tree"
                       if self.depth_hit else "goal has no proof tree")
@@ -400,7 +427,8 @@ class _Derivation:
                 solved = solved.extend(eqs, self.linear)
                 if solved is not None:
                     agenda = self._node_agenda(index, label, rest)
-                    self._record_deepest(solved, agenda)
+                    if not self.solutions:
+                        self.candidates.append(len(self.nodes))
             elif agenda is None:
                 self.solutions.append(Solution(
                     ProofTree(_skeleton(self.nodes)), GroundnessLog(tuple(self.events))))
@@ -426,7 +454,12 @@ class _Derivation:
 
     def _backtrack(self, n_nodes: int, n_events: int) -> None:
         """Cut the nodes, their local states and the events back to the
-        given heights."""
+        given heights; before a solution exists, judge the deepest-tree
+        candidates that the cut drops."""
+        if not self.solutions:
+            cut = bisect_right(self.candidates, n_nodes)
+            self._judge(self.candidates[cut:])
+            del self.candidates[cut:]
         del self.nodes[n_nodes:]
         del self.local[n_nodes:]
         del self.events[n_events:]
@@ -523,18 +556,21 @@ class _Derivation:
                         ground.add(TreePosition(index, lit, (k,)))
         return frozenset(ground)
 
-    # -- bookkeeping ---------------------------------------------------------
+    # -- the deepest tree ----------------------------------------------------
 
-    def _record_deepest(self, solved: SolvedState, agenda: tuple | None) -> None:
-        """Keep the current skeleton if it is the largest satisfiable
-        one so far; the state plus the agenda's pending posts is exactly
-        its constraint set (see the module docstring)."""
-        if len(self.nodes) <= len(self.deepest):
-            return
-        pending = []
-        while agenda is not None:
-            step, agenda = agenda
-            if step[0] == "post":
-                pending.append(NumericConstraint(step[3]))
-        if solved.extend(pending, self.linear) is not None:
-            self.deepest = self.nodes[:]
+    def _judge(self, counts: list[int]) -> None:
+        """Keep the largest candidate of ``counts`` (ascending node
+        counts, each naming the prefix ``nodes[:n]``) whose constraint
+        set is satisfiable, if it beats the deepest tree so far.  A
+        candidate is solved from scratch: its nodes' edge equations,
+        then their clause constraints."""
+        for n in reversed(counts):
+            if n <= len(self.deepest):
+                return
+            nodes = self.nodes[:n]
+            store: list[StoreConstraint] = [eq for node in nodes for eq in node.edge_eqs]
+            store += [NumericConstraint(item) for node in nodes for item in node.label.body
+                      if isinstance(item, ConstraintExpr)]
+            if SolvedState().extend(store, self.linear) is not None:
+                self.deepest = nodes
+                return

@@ -98,6 +98,8 @@ class _Parser:
         self._anon = 0
         self._clause_start = 0
         self._clause_vars: set[str] | None = None
+        # set when the constraint being parsed holds a "*" or "/" node
+        self._mul_div = False
 
     # -- token plumbing ----------------------------------------------------
 
@@ -266,6 +268,7 @@ class _Parser:
 
     def constraint(self) -> ConstraintExpr:
         start = self.tokens[self.pos][2]
+        self._mul_div = False
         lhs = self.arith()
         if self.tokens[self.pos][1] not in _RELATIONS:
             self.fail("expected a relation (=, <, <=, >, >=)")
@@ -273,14 +276,15 @@ class _Parser:
         if rel == "=<":
             rel = "<="
         rhs = self.arith()
-        expr = ConstraintExpr(rel, lhs, rhs)
-        try:
-            to_linear(lhs)
-            to_linear(rhs)
-        except NonlinearityError as exc:
-            line, col = _line_col(self.text, start)
-            raise NonlinearityError(f"{exc.args[0]} (line {line}, column {col})") from None
-        return expr
+        if self._mul_div:
+            # only a "*" or "/" node can make either side nonlinear
+            try:
+                to_linear(lhs)
+                to_linear(rhs)
+            except NonlinearityError as exc:
+                line, col = _line_col(self.text, start)
+                raise NonlinearityError(f"{exc.args[0]} (line {line}, column {col})") from None
+        return ConstraintExpr(rel, lhs, rhs)
 
     def arith(self) -> Term:
         t = self.arith_mul()
@@ -301,6 +305,7 @@ class _Parser:
                 t = NumberLiteral(t.value / rhs.value)
             else:
                 t = Compound(op, (t, rhs))
+                self._mul_div = True
         return t
 
     def arith_unary(self) -> Term:

@@ -230,6 +230,25 @@ def test_store_merges_origins():
     assert next(iter(store)).origin == a.origin | b.origin
 
 
+def test_membership_and_subset_ignore_origin():
+    from clpslice.syntax import TreePosition
+
+    here, there = frozenset([TreePosition(0, 1, (1,))]), frozenset([TreePosition(2, 0, (1,))])
+    eq = TermEquation(Variable("X"), NumberLiteral(Fraction(1)), here)
+    (num,) = store_of("{X + Y >= 2}.")
+    store = ConstraintStore([eq, num])
+    part = ConstraintStore([TermEquation(eq.lhs, eq.rhs, there)])
+    assert TermEquation(eq.lhs, eq.rhs) in store
+    assert TermEquation(eq.lhs, eq.rhs, there) in store
+    assert type(num)(num.expr, there) in store
+    assert TermEquation(eq.lhs, NumberLiteral(Fraction(2)), here) not in store
+    assert part.issubset(store) and not store.issubset(part)
+    assert ConstraintStore([type(num)(num.expr, there), eq]) == store
+    assert part != store
+    # a second test reads the same membership set
+    assert eq in store and part.issubset(store)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_dep_classes_partition_laws(seed):

@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,6 +27,8 @@ from clpslice import (
 )
 from clpslice.engine import SkelNode
 from conftest import store_of, teq
+from derive_pins import CORPUS_PROGRAMS
+from genutil import random_program
 
 
 def chain_skeleton(chain_program_text):
@@ -286,3 +289,50 @@ def test_derive_depth_is_not_bounded_by_python_recursion():
                           text=True, env={**os.environ, "PYTHONPATH": src})
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines() == ["sum(400,S). 402 80200", "fib(12,F). 466 233"]
+
+
+def _eager_tables(tree):
+    """The position tables as ``DerivationTree.__init__`` once built them
+    for every tree: one loop over every node's clause positions."""
+    pos_table, phi = {}, {}
+    for node in tree.skeleton.nodes:
+        for literal, path, elem in clpslice.syntax.clause_positions(node.label):
+            tp = TreePosition(node.index, literal, path)
+            pos_table[tp] = elem
+            phi[tp] = ProgramPosition(node.clause, literal, path)
+    return pos_table, phi
+
+
+def _derived_trees():
+    """The trees of every corpus goal (up to three solutions, or the
+    NoSolution deepest tree) and of 200 random programs' first outcome."""
+    for name in CORPUS_PROGRAMS:
+        program = parse_program(clpslice.corpus_path(f"{name}.clp").read_text())
+        for line in clpslice.corpus_path(f"{name}.goals").read_text().splitlines():
+            if line.strip() and not line.strip().startswith("%"):
+                try:
+                    yield from (s.tree for s in derive(program, parse_goal(line), max_solutions=3))
+                except NoSolution as exc:
+                    yield exc.deepest
+    rng = random.Random(11)
+    for _ in range(200):
+        program, goal = random_program(rng)
+        try:
+            yield derive(program, goal, depth_limit=8)[0].tree
+        except NoSolution as exc:
+            yield exc.deepest
+
+
+def test_tree_tables_are_built_on_first_read():
+    deepest = 0
+    for i, tree in enumerate(_derived_trees()):
+        if tree is None:
+            continue
+        deepest += not tree.is_proof_tree
+        assert "_tables" not in vars(tree), i
+        # either table's first read builds both
+        assert (tree.phi if i % 2 else tree.pos_table) and "_tables" in vars(tree), i
+        pos_table, phi = _eager_tables(tree)
+        assert list(tree.pos_table.items()) == list(pos_table.items()), i
+        assert list(tree.phi.items()) == list(phi.items()), i
+    assert deepest > 20

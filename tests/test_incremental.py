@@ -2,15 +2,17 @@
 ``solver_reference.batch_satisfiable``: the incremental ``SolvedState``
 on every prefix of random mixed stores (linear constraints from
 ``genutil.random_store`` plus term equations), and ``satisfiable`` on
-proof-tree stores."""
+proof-tree stores.  ``SolvedState.occ`` is checked against the
+occurrence index recomputed from its pivots."""
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
 
-from clpslice import ConstraintStore, TermEquation, ground_vars, satisfiable
+from clpslice import ConstraintStore, NumericConstraint, TermEquation, ground_vars, satisfiable
 from clpslice.constraints import SolvedState
+from clpslice.linexpr import LinExpr
 from clpslice.syntax import Compound, NumberLiteral, Term, Variable
 from conftest import (
     assert_witness,
@@ -73,8 +75,19 @@ def random_mixed_store(rng: random.Random) -> list[tuple[str, object]]:
 def _answers(state: SolvedState, names: list[str]) -> tuple:
     return (
         tuple(state.ground_value(Variable(v)) for v in names),
-        dict(state.bindings), set(state.numeric), dict(state.pivots), dict(state.residual),
+        dict(state.bindings), set(state.numeric), dict(state.pivots), dict(state.occ),
+        dict(state.residual),
     )
+
+
+def occurrence_index(pivots: dict) -> dict[str, frozenset[str]]:
+    """Each variable -> the pivots whose forms mention it, recomputed
+    from scratch: what ``SolvedState.occ`` must equal exactly."""
+    occ: dict[str, set[str]] = {}
+    for pivot, form in pivots.items():
+        for v in form.coeffs:
+            occ.setdefault(v, set()).add(pivot)
+    return {v: frozenset(ps) for v, ps in occ.items()}
 
 
 def test_incremental_state_matches_whole_store_solver():
@@ -95,6 +108,8 @@ def test_incremental_state_matches_whole_store_solver():
                 assert _answers(state, names) == before, (seed, i)
                 if new is None:
                     seen_unsat.add(kind)
+                else:
+                    assert new.occ == occurrence_index(new.pivots), (seed, i)
                 state = new
             assert (state is not None) == reference.is_sat, (seed, i)
             if state is None:
@@ -150,3 +165,16 @@ def test_whole_store_solve_matches_batch_reference_on_tree_stores():
         for v in store.vars:
             assert solved.is_ground(Variable(v)) == reference.is_ground(Variable(v)), (i, v)
         assert_witness(store, solved.sample_valuation())
+
+
+def test_occurrence_index_is_exact_on_tree_stores():
+    for i, store in enumerate(corpus_tree_stores()):
+        state = SolvedState().extend(sorted(store, key=lambda c: isinstance(c, NumericConstraint)))
+        assert state is not None, i
+        assert state.occ == occurrence_index(state.pivots), i
+    # Y's new form cancels Z out of X's, so Z's entry loses X
+    state = SolvedState().extend(store_of("{X = Y + Z, Y + Z = 1}."), {})
+    assert state.pivots == {"X": LinExpr({}, Fraction(1)), "Y": LinExpr({"Z": Fraction(-1)}, Fraction(1))}
+    assert state.occ == occurrence_index(state.pivots) == {"Z": frozenset({"Y"})}
+    state = state.extend(store_of("{Z = 2*W}."), {})
+    assert state.occ == occurrence_index(state.pivots) == {"Z": frozenset({"W", "Y"})}
